@@ -19,16 +19,18 @@ BUILD_DIR="${1:-build-bench}"
 OUT_DIR="bench/out"
 mkdir -p "${OUT_DIR}"
 
+# Every Google-Benchmark binary, run and gated from this one list: each must
+# have a committed bench/out/BENCH_<name>_postpr.json baseline.
+MICRO_BENCHES=(bench_micro_corruption bench_micro_mvm bench_micro_graph
+               bench_micro_partition bench_micro_attention bench_micro_matching)
+
 cmake -B "${BUILD_DIR}" -S . \
     -DCMAKE_BUILD_TYPE=Release \
     -DCMAKE_CXX_FLAGS_RELEASE="-O2 -DNDEBUG"
 cmake --build "${BUILD_DIR}" -j"$(nproc)" \
-    --target bench_micro_corruption bench_micro_mvm bench_micro_graph \
-             bench_micro_partition bench_micro_attention \
-             bench_online_tolerance
+    --target "${MICRO_BENCHES[@]}" bench_online_tolerance
 
-for bench in bench_micro_corruption bench_micro_mvm bench_micro_graph \
-             bench_micro_partition bench_micro_attention; do
+for bench in "${MICRO_BENCHES[@]}"; do
     echo "=== ${bench} ==="
     "${BUILD_DIR}/${bench}" \
         --benchmark_out_format=json \
@@ -45,18 +47,30 @@ FARE_BENCH_OUT="${OUT_DIR}" "${BUILD_DIR}/bench_online_tolerance"
 
 echo "Results in ${OUT_DIR}/BENCH_micro_*.json and ${OUT_DIR}/BENCH_online_tolerance.json"
 
-# Regression gate: every committed *_postpr.json baseline is enforced against
-# the fresh run of the same bench (generous factor — the gate catches
-# order-of-magnitude regressions, not machine-to-machine noise). Set
-# FARE_BENCH_FACTOR to tune, or FARE_BENCH_NO_CHECK=1 to record only.
+# Regression gate: every bench run above is enforced against its committed
+# *_postpr.json baseline (generous factor — the gate catches
+# order-of-magnitude regressions, not machine-to-machine noise). A bench
+# without a baseline, or a baseline whose bench is not run here, fails the
+# script. Set FARE_BENCH_FACTOR to tune, or FARE_BENCH_NO_CHECK=1 to record
+# only.
 if [ -z "${FARE_BENCH_NO_CHECK:-}" ]; then
-    for baseline in "${OUT_DIR}"/BENCH_micro_*_postpr.json \
-                    "${OUT_DIR}"/BENCH_online_tolerance_postpr.json; do
-        [ -e "$baseline" ] || continue
-        fresh="${baseline%_postpr.json}.json"
-        [ -e "$fresh" ] || continue
+    gated=("${MICRO_BENCHES[@]}" bench_online_tolerance)
+    for baseline in "${OUT_DIR}"/BENCH_*_postpr.json; do
+        name="$(basename "${baseline}" _postpr.json)"
+        if [[ " ${gated[*]} " != *" bench_${name#BENCH_} "* ]]; then
+            echo "bench.sh: baseline ${baseline} has no fresh run" >&2
+            exit 1
+        fi
+    done
+    for bench in "${gated[@]}"; do
+        fresh="${OUT_DIR}/BENCH_${bench#bench_}.json"
+        baseline="${fresh%.json}_postpr.json"
+        if [ ! -e "${baseline}" ]; then
+            echo "bench.sh: ${bench} has no committed baseline ${baseline}" >&2
+            exit 1
+        fi
         echo "=== threshold check: ${fresh} vs ${baseline} ==="
-        python3 scripts/check_bench.py "$baseline" "$fresh" \
+        python3 scripts/check_bench.py "${baseline}" "${fresh}" \
             "${FARE_BENCH_FACTOR:-3.0}"
     done
 fi

@@ -21,7 +21,10 @@ def means(path):
     out = {}
     for bench in doc.get("benchmarks", []):
         name = bench.get("name", "")
-        if name.endswith(("_median", "_stddev", "_cv", "_min", "_max")):
+        # Spread aggregates, and the complexity fit (_BigO / _RMS) that
+        # carries coefficients instead of a time.
+        if name.endswith(("_median", "_stddev", "_cv", "_min", "_max",
+                          "_BigO", "_RMS")):
             continue
         base = name[: -len("_mean")] if name.endswith("_mean") else name
         out[base] = float(bench["real_time"])

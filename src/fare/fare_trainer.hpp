@@ -2,6 +2,7 @@
 // simulated faulty hardware and report the metrics the paper's figures use.
 #pragma once
 
+#include <functional>
 #include <memory>
 
 #include "fare/baselines.hpp"
@@ -31,18 +32,32 @@ struct SchemeRunResult {
 
 /// Copy the scheme-level diagnostics (mapping cost, BIST scans, wear, online
 /// stats, tile locality) out of `hardware` if it is a FaultyHardware; no-op
-/// for ideal hardware. Shared by every model family's run_train.
+/// for ideal hardware. run_scheme calls it after every run.
 void harvest_scheme_diagnostics(HardwareModel* hardware, SchemeRunResult& out);
 
-/// Build the hardware model for `scheme`, run the full training loop and
-/// final test evaluation.
-SchemeRunResult run_scheme(const Dataset& dataset, Scheme scheme,
-                           const TrainConfig& train_config,
-                           const FaultyHardwareConfig& hw_config);
+/// Builds a family's trainer over `hardware` (not owned; never null).
+using TrainerFactory = std::function<std::unique_ptr<TrainLoop>(HardwareModel*)>;
 
-/// Declarative variant: lower a FaultScenario + chip overrides into the
-/// hardware config (seeded with `hw_seed`) and run. kFaultFree short-circuits
-/// to the ideal quantised reference.
+/// Factory for a `T(data, train_config, hardware)` trainer. Both arguments
+/// are borrowed and must outlive every call.
+template <class T, class Data>
+TrainerFactory trainer_factory(const Data& data, const TrainConfig& train_config) {
+    return [&data, &train_config](HardwareModel* hardware) -> std::unique_ptr<TrainLoop> {
+        return std::make_unique<T>(data, train_config, hardware);
+    };
+}
+
+/// Lower a FaultScenario + chip overrides into the hardware for `scheme`
+/// (seeded with `hw_seed`; kFaultFree gets the ideal quantised reference),
+/// run the full training loop and final test evaluation, then harvest the
+/// scheme diagnostics. Every model family's run_train goes through here.
+SchemeRunResult run_scheme(const TrainerFactory& make_trainer, Scheme scheme,
+                           const TrainConfig& train_config,
+                           const FaultScenario& scenario,
+                           const HardwareOverrides& hw_overrides,
+                           std::uint64_t hw_seed);
+
+/// GNN spelling: train a `Trainer` over `dataset`.
 SchemeRunResult run_scheme(const Dataset& dataset, Scheme scheme,
                            const TrainConfig& train_config,
                            const FaultScenario& scenario,
@@ -60,11 +75,13 @@ struct DeploymentResult {
     double trained_accuracy = 0.0;   ///< test accuracy on ideal hardware
     double deployed_accuracy = 0.0;  ///< test accuracy on the faulty chip
 };
-DeploymentResult run_deployment(const Dataset& dataset,
+DeploymentResult run_deployment(const TrainerFactory& make_trainer,
                                 const TrainConfig& train_config, Scheme scheme,
-                                const FaultyHardwareConfig& hw_config);
+                                const FaultScenario& scenario,
+                                const HardwareOverrides& hw_overrides,
+                                std::uint64_t hw_seed);
 
-/// Declarative variant of run_deployment (see run_scheme above).
+/// GNN spelling of run_deployment.
 DeploymentResult run_deployment(const Dataset& dataset,
                                 const TrainConfig& train_config, Scheme scheme,
                                 const FaultScenario& scenario,

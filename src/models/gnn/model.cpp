@@ -46,12 +46,6 @@ std::vector<Matrix*> Model::effective_params() {
     return out;
 }
 
-std::size_t Model::num_weights() {
-    std::size_t n = 0;
-    for (auto& l : layers_) n += l->num_weights();
-    return n;
-}
-
 Matrix Model::forward(const Matrix& x, const BatchGraphView& g) {
     Matrix h = x;
     for (auto& l : layers_) h = l->forward(h, g);
@@ -62,14 +56,6 @@ void Model::backward(const Matrix& grad_logits, const BatchGraphView& g) {
     Matrix grad = grad_logits;
     for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
         grad = (*it)->backward(grad, g);
-}
-
-void Model::zero_grads() {
-    for (auto& l : layers_) l->zero_grads();
-}
-
-void Model::sync_effective() {
-    for (auto& l : layers_) l->sync_effective();
 }
 
 }  // namespace fare

@@ -18,7 +18,7 @@ struct ModelConfig {
     std::uint64_t seed = 1;
 };
 
-class Model {
+class Model final : public ParamModel {
 public:
     explicit Model(const ModelConfig& config);
 
@@ -28,21 +28,15 @@ public:
 
     /// Flattened parameter/gradient/effective-parameter lists across layers
     /// (stable indexing used by the hardware model).
-    std::vector<Matrix*> params();
-    std::vector<Matrix*> grads();
-    std::vector<Matrix*> effective_params();
-
-    std::size_t num_weights();
+    std::vector<Matrix*> params() override;
+    std::vector<Matrix*> grads() override;
+    std::vector<Matrix*> effective_params() override;
 
     /// Forward through all layers; logits out.
     Matrix forward(const Matrix& x, const BatchGraphView& g);
 
     /// Backward from d loss / d logits.
     void backward(const Matrix& grad_logits, const BatchGraphView& g);
-
-    void zero_grads();
-    /// Copy logical -> effective weights for all layers (ideal hardware).
-    void sync_effective();
 
 private:
     ModelConfig config_;

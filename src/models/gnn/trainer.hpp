@@ -4,47 +4,28 @@
 // once on the host, partitions are grouped into cluster batches, and each
 // training step writes the batch's adjacency blocks and the updated weights
 // to crossbars, runs aggregation + combination, and backpropagates. The
-// HardwareModel decides what the crossbars actually return.
+// HardwareModel decides what the crossbars actually return; the loop itself
+// lives in nn/train_loop.hpp.
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <vector>
 
-#include "nn/hardware_model.hpp"
-#include "nn/metrics.hpp"
-#include "nn/train_types.hpp"
+#include "nn/train_loop.hpp"
 #include "models/gnn/model.hpp"
 #include "graph/dataset.hpp"
 #include "graph/subgraph.hpp"
 
 namespace fare {
 
-class Trainer {
+class Trainer final : public TrainLoop {
 public:
     /// `hardware` may be null => ideal (fault-free) hardware. Not owned.
     Trainer(const Dataset& dataset, const TrainConfig& config,
             HardwareModel* hardware = nullptr);
 
-    /// Run the full training loop and final test evaluation.
-    TrainResult run();
-
-    /// Copy-out / copy-in of the model's logical parameters, e.g. to deploy
-    /// a host-trained model onto (different) faulty hardware.
-    std::vector<Matrix> export_params();
-    void import_params(const std::vector<Matrix>& params);
-
-    /// Bind + preprocess the attached hardware without training (run() does
-    /// this implicitly; needed before evaluate_test_accuracy() on a trainer
-    /// that only evaluates).
-    void prepare_hardware();
-
-    /// Test accuracy of the current weights on the attached hardware,
-    /// without any training.
-    double evaluate_test_accuracy();
-
     Model& model() { return *model_; }
-    std::size_t num_batches() const { return batches_.size(); }
+    std::size_t num_batches() const override { return batches_.size(); }
     /// Quality report of the partitioning chosen by config.partitioner.
     const PartitionQuality& partition_quality() const { return partition_quality_; }
     /// Ideal adjacency bits per batch (exposed for hardware preprocessing
@@ -60,35 +41,22 @@ private:
         std::vector<bool> train_mask, val_mask, test_mask;
     };
 
-    /// Recorrupt effective weights from the logical params. No-op while
-    /// neither the params (stamped by every optimizer step / import) nor the
-    /// hardware fault state changed since the last refresh — evaluate() right
-    /// after a train step reuses the step's corruption instead of redoing it.
-    void refresh_effective_weights();
+    ParamModel& param_model() override { return *model_; }
+    void preprocess(HardwareModel& hardware) override;
+    LossResult train_step(std::size_t batch_idx, MetricAccumulator& train_acc) override;
+    void evaluate(MetricAccumulator& acc, Split split) override;
+
     /// Effective adjacency view of a batch, cached per batch keyed on the
     /// hardware's adjacency state version: fault maps only change at epoch
     /// boundaries, so the O(n^2) bits -> CSR rebuild happens once per fault
     /// event instead of once per batch visit.
     const BatchGraphView& effective_view(std::size_t batch_idx, const BatchData& batch);
-    /// Forward all batches with current effective weights, accumulating
-    /// metrics for the chosen split mask.
-    void evaluate(MetricAccumulator& acc, Split split);
 
-    const Dataset& dataset_;
-    TrainConfig config_;
-    HardwareModel* hardware_;
     std::unique_ptr<Model> model_;
     std::vector<BatchData> batches_;
     std::vector<BitMatrix> batch_bits_;
     std::vector<std::vector<int>> batch_parts_;  ///< per-batch node -> partition
-    PartitionQuality partition_quality_;
 
-    // Effective-state caches (tentpole: the hot loop recomputes these only
-    // when the stamped inputs actually changed).
-    std::uint64_t params_version_ = 1;          // bumped per optimizer step
-    std::uint64_t refreshed_params_version_ = 0;
-    std::uint64_t refreshed_hw_version_ = 0;
-    bool weights_refreshed_once_ = false;
     std::vector<BatchGraphView> view_cache_;
     std::vector<bool> view_cached_;
     std::uint64_t view_cache_version_ = 0;

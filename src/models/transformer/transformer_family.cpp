@@ -1,7 +1,6 @@
 #include "models/transformer/transformer_family.hpp"
 
 #include "common/error.hpp"
-#include "fare/baselines.hpp"
 #include "fare/fare_trainer.hpp"
 #include "fare/scenario.hpp"
 #include "models/transformer/seq_dataset.hpp"
@@ -36,7 +35,7 @@ TrainConfig TransformerFamily::train_config(const WorkloadSpec& workload,
     TrainConfig tc;
     tc.hidden = 32;      // d_model
     tc.num_layers = 2;   // attention+MLP blocks
-    tc.lr = 0.005f;      // Adam; a notch below the GNN 0.01 for stability
+    tc.lr = 0.005f;      // a notch below the GNN 0.01 for stability
     tc.epochs = default_experiment_epochs();
     tc.seed = seed;
     tc.record_curve = false;
@@ -67,21 +66,8 @@ SchemeRunResult TransformerFamily::run_train(const WorkloadSpec& workload,
                                              const HardwareOverrides& hw_overrides,
                                              std::uint64_t hw_seed) const {
     const SeqDataset data = make_workload_data(workload, train_config.seed);
-    SchemeRunResult result;
-    result.scheme = scheme;
-    if (scheme == Scheme::kFaultFree) {
-        IdealQuantizedHardware hardware;
-        TransformerTrainer trainer(data, train_config, &hardware);
-        result.train = trainer.run();
-        return result;
-    }
-    auto hardware = make_hardware(
-        scheme, to_hardware_config(scenario, hw_overrides, hw_seed,
-                                   train_config.epochs));
-    TransformerTrainer trainer(data, train_config, hardware.get());
-    result.train = trainer.run();
-    harvest_scheme_diagnostics(hardware.get(), result);
-    return result;
+    return run_scheme(trainer_factory<TransformerTrainer>(data, train_config), scheme,
+                      train_config, scenario, hw_overrides, hw_seed);
 }
 
 DeploymentResult TransformerFamily::run_deploy(const WorkloadSpec& workload,
@@ -91,20 +77,8 @@ DeploymentResult TransformerFamily::run_deploy(const WorkloadSpec& workload,
                                                const HardwareOverrides& hw_overrides,
                                                std::uint64_t hw_seed) const {
     const SeqDataset data = make_workload_data(workload, train_config.seed);
-    DeploymentResult result;
-
-    IdealQuantizedHardware ideal;
-    TransformerTrainer host_trainer(data, train_config, &ideal);
-    result.trained_accuracy = host_trainer.run().test_accuracy;
-
-    auto hardware = make_hardware(
-        scheme, to_hardware_config(scenario, hw_overrides, hw_seed,
-                                   train_config.epochs));
-    TransformerTrainer edge(data, train_config, hardware.get());
-    edge.import_params(host_trainer.export_params());
-    edge.prepare_hardware();
-    result.deployed_accuracy = edge.evaluate_test_accuracy();
-    return result;
+    return run_deployment(trainer_factory<TransformerTrainer>(data, train_config),
+                          train_config, scheme, scenario, hw_overrides, hw_seed);
 }
 
 }  // namespace fare

@@ -77,16 +77,6 @@ std::vector<Matrix*> TransformerModel::effective_params() {
     return out;
 }
 
-void TransformerModel::zero_grads() {
-    for (Matrix* g : grads()) g->fill(0.0f);
-}
-
-void TransformerModel::sync_effective() {
-    auto src = params();
-    auto dst = effective_params();
-    for (std::size_t i = 0; i < src.size(); ++i) *dst[i] = *src[i];
-}
-
 Matrix TransformerModel::forward(
     const std::vector<const std::vector<int>*>& batch_tokens) {
     const std::size_t batch = batch_tokens.size();

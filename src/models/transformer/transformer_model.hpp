@@ -9,10 +9,11 @@
 //              X2 = X1 + relu(X1 W1) W2
 //   logits = mean_rows(X_last) Wc
 //
-// Mirrors the GNN Layer contract: logical (master) parameters the optimizer
-// updates, plus effective copies refreshed from the hardware model before
-// each batch. Gradients are computed w.r.t. the effective weights and applied
-// to the logical ones (on-device training with a host-resident optimizer).
+// Implements the ParamModel contract (nn/param_model.hpp), like the GNN
+// layers: logical (master) parameters the optimizer updates, plus effective
+// copies refreshed from the hardware model before each batch. Gradients
+// are computed w.r.t. the effective weights and applied to the logical ones
+// (on-device training with a host-resident optimizer).
 // GEMMs go through numeric/matrix.hpp and therefore the PR 8 SIMD kernel
 // tables; the attention softmax runs on the host (special-function units in
 // the accelerator model).
@@ -21,7 +22,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "numeric/matrix.hpp"
+#include "nn/param_model.hpp"
 
 namespace fare {
 
@@ -35,19 +36,15 @@ struct TransformerConfig {
     std::uint64_t seed = 1;
 };
 
-class TransformerModel {
+class TransformerModel final : public ParamModel {
 public:
     explicit TransformerModel(const TransformerConfig& config);
 
     /// Parameter order (stable; this is the crossbar bind order):
     /// embed, pos, then per block {Wq, Wk, Wv, Wo, W1, W2}, then Wc.
-    std::vector<Matrix*> params();
-    std::vector<Matrix*> grads();
-    std::vector<Matrix*> effective_params();
-
-    void zero_grads();
-    /// Copy logical -> effective (ideal hardware).
-    void sync_effective();
+    std::vector<Matrix*> params() override;
+    std::vector<Matrix*> grads() override;
+    std::vector<Matrix*> effective_params() override;
 
     /// Forward a batch of token sequences with the current effective weights;
     /// returns (batch x classes) logits and caches activations for backward.

@@ -53,6 +53,15 @@ std::vector<float> fuzz_floats(std::mt19937& gen, std::size_t n, float range) {
     return v;
 }
 
+/// Byte-for-byte equality of two vectors. An empty vector's data() may be
+/// null, and memcmp on a null pointer is undefined even for zero bytes, so
+/// empty pairs never reach it.
+template <class T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+    return a.size() == b.size() &&
+           (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
 const std::size_t kRaggedSizes[] = {0,  1,  2,  3,  7,  8,   9,   15,
                                     16, 17, 31, 32, 33, 64, 100, 257};
 
@@ -66,24 +75,21 @@ TEST(SimdKernelsTest, QuantizePassesMatchScalarOracle) {
         std::vector<std::int16_t> qa(n, -1), qb(n, -2);
         active.quantize_i16(src.data(), qa.data(), n);
         oracle.quantize_i16(src.data(), qb.data(), n);
-        ASSERT_EQ(0, std::memcmp(qa.data(), qb.data(), n * sizeof(qa[0])))
-            << "quantize_i16 n=" << n;
+        ASSERT_TRUE(same_bytes(qa, qb)) << "quantize_i16 n=" << n;
 
         std::vector<float> da(n, -1.0f), db(n, -2.0f);
         active.dequantize_i16(qa.data(), da.data(), n);
         oracle.dequantize_i16(qa.data(), db.data(), n);
-        ASSERT_EQ(0, std::memcmp(da.data(), db.data(), n * sizeof(float)))
-            << "dequantize_i16 n=" << n;
+        ASSERT_TRUE(same_bytes(da, db)) << "dequantize_i16 n=" << n;
 
         active.quantize_dequantize(src.data(), da.data(), n);
         oracle.quantize_dequantize(src.data(), db.data(), n);
-        ASSERT_EQ(0, std::memcmp(da.data(), db.data(), n * sizeof(float)))
-            << "quantize_dequantize n=" << n;
+        ASSERT_TRUE(same_bytes(da, db)) << "quantize_dequantize n=" << n;
 
         for (const float clip : {0.05f, 1.0f, 100.0f}) {
             active.quantize_dequantize_clip(src.data(), da.data(), n, clip);
             oracle.quantize_dequantize_clip(src.data(), db.data(), n, clip);
-            ASSERT_EQ(0, std::memcmp(da.data(), db.data(), n * sizeof(float)))
+            ASSERT_TRUE(same_bytes(da, db))
                 << "quantize_dequantize_clip n=" << n << " clip=" << clip;
         }
     }

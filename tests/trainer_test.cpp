@@ -6,6 +6,7 @@
 
 #include "fare/baselines.hpp"
 #include "graph/generators.hpp"
+#include "models/transformer/transformer_trainer.hpp"
 
 namespace fare {
 namespace {
@@ -126,9 +127,15 @@ TEST(TrainerTest, AdjacencyHookControlsAggregation) {
 }
 
 /// Epoch-end hook fires exactly once per epoch; the step hook fires once
-/// per optimizer step with in-epoch indices.
+/// per optimizer step with in-epoch indices. The fault state never changes
+/// (constant version stamps), so effective weights are only re-read when
+/// the logical params moved.
 class CountingHardware final : public HardwareModel {
 public:
+    Matrix effective_weights(std::size_t, const Matrix& w) override {
+        ++weight_reads;
+        return w;
+    }
     void on_step_end(std::size_t, std::size_t step,
                      std::size_t steps_per_epoch) override {
         ++steps;
@@ -136,11 +143,31 @@ public:
         last_steps_per_epoch = steps_per_epoch;
     }
     void on_epoch_end(std::size_t) override { ++count; }
+    std::uint64_t weights_state_version() const override { return 1; }
+    std::uint64_t adjacency_state_version() const override { return 1; }
     int count = 0;
     int steps = 0;
+    std::size_t weight_reads = 0;
     std::size_t last_step = 0;
     std::size_t last_steps_per_epoch = 0;
 };
+
+/// The hook contract every family's training loop honours: one epoch hook
+/// per epoch, one step hook per optimizer step, and exactly one effective
+/// weight read per parameter per optimizer step plus one for the first
+/// step; the per-epoch validation pass and the final test pass reuse the
+/// corruption of the step before them.
+template <class TrainerT>
+void expect_hook_contract(TrainerT& trainer, const CountingHardware& hw,
+                          std::size_t epochs) {
+    const std::size_t steps = trainer.num_batches();
+    const std::size_t num_params = trainer.model().params().size();
+    EXPECT_EQ(hw.count, static_cast<int>(epochs));
+    EXPECT_EQ(hw.steps, static_cast<int>(epochs * steps));
+    EXPECT_EQ(hw.last_steps_per_epoch, steps);
+    EXPECT_EQ(hw.last_step, steps - 1);  // 0-based index within the epoch
+    EXPECT_EQ(hw.weight_reads, num_params * (epochs * steps + 1));
+}
 
 TEST(TrainerTest, EpochHookFires) {
     const Dataset ds = small_dataset(15);
@@ -164,6 +191,29 @@ TEST(TrainerTest, StepHookFiresOncePerOptimizerStep) {
     EXPECT_EQ(hw.steps, 3 * 4);
     EXPECT_EQ(hw.last_steps_per_epoch, 4u);
     EXPECT_EQ(hw.last_step, 3u);  // 0-based index within the epoch
+}
+
+TEST(TrainerTest, HookContractGnn) {
+    const Dataset ds = small_dataset(15);
+    CountingHardware hw;
+    TrainConfig tc = fast_config(GnnKind::kGCN);
+    tc.epochs = 3;
+    Trainer trainer(ds, tc, &hw);
+    trainer.run();
+    expect_hook_contract(trainer, hw, tc.epochs);
+}
+
+TEST(TrainerTest, HookContractTransformer) {
+    const SeqDataset data = make_seq_cls(SeqDatasetConfig{}, 1);
+    CountingHardware hw;
+    TrainConfig tc;
+    tc.hidden = 16;
+    tc.num_layers = 1;
+    tc.epochs = 3;
+    TransformerTrainer trainer(data, tc, &hw);
+    trainer.run();
+    EXPECT_EQ(trainer.num_batches(), 6u);  // 96 train sequences / 16
+    expect_hook_contract(trainer, hw, tc.epochs);
 }
 
 /// Mid-epoch arrival integration: live wear + a per-step arrival cadence
