@@ -6,10 +6,7 @@
 #   2. run the same plan as 1 coordinator + 3 fare-worker processes sharing
 #      one --cache-dir, SIGKILL one worker mid-plan, and require the merged
 #      output byte-identical to the reference (the dead worker's in-flight
-#      cell is re-dealt);
-#   3. start a fare-serve daemon, SIGKILL a submitter mid-stream (the daemon
-#      must survive), then submit the plan for real and require the streamed
-#      results byte-identical to the reference.
+#      cell is re-dealt).
 #
 # Usage: scripts/fleet_smoke.sh [plan]
 # Environment:
@@ -30,16 +27,15 @@ for bin in "$RUN" "$WORKER"; do
     fi
 done
 
-# The whole fleet (coordinator, workers, serve daemon, submitters) runs
-# behind the shared-secret handshake: both binaries read this variable, so
+# The whole fleet (coordinator and workers) runs behind the shared-secret
+# handshake: both binaries read this variable, so
 # the smoke also gates the challenge/response auth path end to end.
 export FARE_FABRIC_SECRET="fleet-smoke-secret"
 
 TMP=$(mktemp -d)
 WORKER_PIDS=()
-DAEMON_PID=""
 cleanup() {
-    kill "${WORKER_PIDS[@]}" "$DAEMON_PID" 2>/dev/null || true
+    kill "${WORKER_PIDS[@]}" 2>/dev/null || true
     rm -rf "$TMP"
 }
 trap cleanup EXIT
@@ -80,28 +76,5 @@ WORKER_PIDS=()
 
 echo "== fleet output must be byte-identical to the fresh run"
 diff "$TMP/single.json" "$TMP/fleet.json"
-
-echo "== serve: daemon + 2 workers"
-"$RUN" --serve 127.0.0.1:0 --port-file "$TMP/sport" \
-    --heartbeat-timeout-ms 5000 --retry-backoff-ms 100 \
-    --cache-dir "$TMP/serve-cache" --quiet &
-DAEMON_PID=$!
-wait_for_port "$TMP/sport"
-sport=$(cat "$TMP/sport")
-for i in 1 2; do
-    "$WORKER" --connect "127.0.0.1:$sport" --quiet &
-    WORKER_PIDS+=($!)
-done
-
-echo "== a submitter SIGKILLed mid-stream must not wedge the daemon"
-"$RUN" --submit "$PLAN@127.0.0.1:$sport" --json "$TMP/dead.json" --canonical &
-victim=$!
-sleep 0.5
-kill -9 "$victim" 2>/dev/null || true
-wait "$victim" 2>/dev/null || true
-
-echo "== a real submission streams results back byte-identical"
-"$RUN" --submit "$PLAN@127.0.0.1:$sport" --json "$TMP/served.json" --canonical
-diff "$TMP/single.json" "$TMP/served.json"
 
 echo "fleet smoke OK"

@@ -1,5 +1,5 @@
 // Length-prefixed JSON framing — the wire format every fabric connection
-// (coordinator <-> worker, submitter <-> daemon) speaks:
+// (coordinator <-> worker) speaks:
 //
 //   +------+------+------------------+
 //   | "FRJ1" (4B) | length (4B, BE)  |  payload: one JSON document (length B)

@@ -29,9 +29,6 @@ constexpr TypeName kTypeNames[] = {
     {WireMessage::Type::kResult, "result"},
     {WireMessage::Type::kCellError, "cell_error"},
     {WireMessage::Type::kHeartbeat, "heartbeat"},
-    {WireMessage::Type::kSubmit, "submit"},
-    {WireMessage::Type::kCell, "cell"},
-    {WireMessage::Type::kDone, "done"},
 };
 
 Expected<WireMessage::Type> parse_type(const std::string& name) {
@@ -92,19 +89,6 @@ std::string encode_message(const WireMessage& m) {
             break;
         case WireMessage::Type::kHeartbeat:
             break;
-        case WireMessage::Type::kSubmit:
-            os << ",\"plan\":\"" << json_escape(m.plan) << "\",\"epochs\":"
-               << (m.epochs ? std::to_string(*m.epochs) : "null");
-            break;
-        case WireMessage::Type::kCell:
-            os << ",\"plan\":\"" << json_escape(m.plan)
-               << "\",\"index\":" << m.index
-               << ",\"result\":" << cell_result_to_json(m.result);
-            break;
-        case WireMessage::Type::kDone:
-            os << ",\"cells\":" << m.cells << ",\"error\":\""
-               << json_escape(m.error) << '"';
-            break;
     }
     os << '}';
     return os.str();
@@ -124,7 +108,7 @@ Expected<WireMessage> decode_message(const std::string& payload) {
             case WireMessage::Type::kHello:
                 m.role = required(v, "role").as_string();
                 m.protocol = static_cast<int>(required(v, "protocol").as_u64());
-                if (m.role != kRoleWorker && m.role != kRoleSubmitter)
+                if (m.role != kRoleWorker)
                     return Expected<WireMessage>::failure("unknown role '" +
                                                           m.role + "'");
                 break;
@@ -161,28 +145,6 @@ Expected<WireMessage> decode_message(const std::string& payload) {
                 m.error = required(v, "error").as_string();
                 break;
             case WireMessage::Type::kHeartbeat:
-                break;
-            case WireMessage::Type::kSubmit: {
-                m.plan = required(v, "plan").as_string();
-                const JsonValue& epochs = required(v, "epochs");
-                if (epochs.kind != JsonValue::Kind::kNull)
-                    m.epochs = epochs.as_u64();
-                break;
-            }
-            case WireMessage::Type::kCell: {
-                m.plan = required(v, "plan").as_string();
-                m.index = required(v, "index").as_u64();
-                Expected<CellResult> result =
-                    cell_result_from_json(required(v, "result"));
-                if (!result)
-                    return Expected<WireMessage>::failure("bad cell result: " +
-                                                          result.error());
-                m.result = std::move(result).value();
-                break;
-            }
-            case WireMessage::Type::kDone:
-                m.cells = required(v, "cells").as_u64();
-                m.error = required(v, "error").as_string();
                 break;
         }
         return m;
@@ -297,33 +259,6 @@ WireMessage make_cell_error(std::uint64_t job, const std::string& error) {
 }
 
 WireMessage make_heartbeat() { return WireMessage{}; }
-
-WireMessage make_submit(const std::string& plan,
-                        std::optional<std::uint64_t> epochs) {
-    WireMessage m;
-    m.type = WireMessage::Type::kSubmit;
-    m.plan = plan;
-    m.epochs = epochs;
-    return m;
-}
-
-WireMessage make_cell(const std::string& plan, std::uint64_t index,
-                      const CellResult& result) {
-    WireMessage m;
-    m.type = WireMessage::Type::kCell;
-    m.plan = plan;
-    m.index = index;
-    m.result = result;
-    return m;
-}
-
-WireMessage make_done(std::uint64_t cells, const std::string& error) {
-    WireMessage m;
-    m.type = WireMessage::Type::kDone;
-    m.cells = cells;
-    m.error = error;
-    return m;
-}
 
 Expected<bool> send_message(Socket& socket, const WireMessage& message) {
     return write_frame(socket, encode_message(message));

@@ -1,13 +1,12 @@
 // The sweep-fabric message vocabulary, carried as one JSON object per frame
-// (net/frame.hpp). Nine message types cover the whole protocol:
+// (net/frame.hpp). Seven message types cover the whole protocol:
 //
-//   handshake   hello (worker|submitter) -> welcome [challenge] -> auth
+//   handshake   hello (worker) -> welcome [challenge] -> auth
 //               (the auth leg only when the coordinator holds a shared
 //               secret; see auth_proof below)
 //   dealing     assign (full CellSpec; keys are not invertible) -> result
 //               | cell_error (the cell threw on the worker)
 //   liveness    heartbeat (worker -> coordinator, periodic, also while busy)
-//   service     submit (plan name + overrides) -> cell* -> done
 //
 // Decoding untrusted peers goes through parse_json with tightened
 // JsonLimits (shallow depth, frame-sized byte cap) and returns Expected —
@@ -26,11 +25,10 @@ namespace fare::net {
 
 /// Bumped when the vocabulary changes incompatibly; both sides refuse a
 /// mismatch at handshake instead of failing mid-plan.
-inline constexpr int kProtocolVersion = 1;
+inline constexpr int kProtocolVersion = 2;
 
-/// Peer roles announced in hello.
+/// The one peer role announced in hello.
 inline constexpr const char* kRoleWorker = "worker";
-inline constexpr const char* kRoleSubmitter = "submitter";
 
 struct WireMessage {
     enum class Type {
@@ -41,9 +39,6 @@ struct WireMessage {
         kResult,     ///< job, result
         kCellError,  ///< job, error — the cell raised on the worker
         kHeartbeat,  ///< (no payload)
-        kSubmit,     ///< plan, epochs?
-        kCell,       ///< plan, index, result — streamed to the submitter
-        kDone,       ///< cells, error ("" = success) — submission finished
     };
 
     Type type = Type::kHeartbeat;
@@ -51,12 +46,8 @@ struct WireMessage {
     std::string role;                      ///< hello
     std::uint64_t job = 0;                 ///< assign / result / cell_error
     CellSpec spec;                         ///< assign
-    CellResult result;                     ///< result / cell
-    std::string plan;                      ///< submit / cell
-    std::optional<std::uint64_t> epochs;   ///< submit: per-cell epoch override
-    std::uint64_t index = 0;               ///< cell: plan index
-    std::uint64_t cells = 0;               ///< done: cells streamed
-    std::string error;                     ///< cell_error / done
+    CellResult result;                     ///< result
+    std::string error;                     ///< cell_error
     std::string challenge;                 ///< welcome: "" = no auth required
     std::string proof;                     ///< auth
 };
@@ -78,8 +69,8 @@ Expected<WireMessage> decode_message(const std::string& payload);
 std::string auth_proof(const std::string& secret, const std::string& challenge,
                        const std::string& role);
 
-/// Client side of the handshake shared by workers and submitters: send
-/// hello, await welcome, answer its challenge (if any) with auth_proof.
+/// Client side of the handshake: send hello, await welcome, answer its
+/// challenge (if any) with auth_proof.
 /// Failure reasons include a protocol mismatch and "coordinator requires a
 /// shared secret" when a challenge arrives with no secret configured.
 Expected<bool> client_handshake(Socket& socket, const std::string& role,
@@ -93,11 +84,6 @@ WireMessage make_assign(std::uint64_t job, const CellSpec& spec);
 WireMessage make_result(std::uint64_t job, const CellResult& result);
 WireMessage make_cell_error(std::uint64_t job, const std::string& error);
 WireMessage make_heartbeat();
-WireMessage make_submit(const std::string& plan,
-                        std::optional<std::uint64_t> epochs);
-WireMessage make_cell(const std::string& plan, std::uint64_t index,
-                      const CellResult& result);
-WireMessage make_done(std::uint64_t cells, const std::string& error);
 
 /// Send one message as a frame.
 Expected<bool> send_message(Socket& socket, const WireMessage& message);

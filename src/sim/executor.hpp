@@ -2,9 +2,9 @@
 // they run". InlineExecutor computes on the calling thread; PoolExecutor is
 // the session's historical worker-pool fan-out. Both report each finished
 // cell through a completion callback so the ResultBus can stream results as
-// they complete. The interface is deliberately narrow — a future RPC /
-// multi-machine executor only needs to ship CellSpecs out and CellResults
-// back.
+// they complete. The interface is deliberately narrow, so RemoteExecutor
+// (sim/remote_executor.hpp) runs cells on other machines by shipping
+// CellSpecs out and CellResults back.
 #pragma once
 
 #include <cstddef>

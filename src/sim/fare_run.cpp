@@ -11,24 +11,17 @@
 //   fare-run --merge merged.json shard0.jsonl shard1.jsonl
 //
 // It is also the fabric coordinator (docs/distributed.md): --listen runs a
-// plan on connected fare-worker processes instead of local threads, --serve
-// turns the process into a long-running daemon accepting plan submissions
-// over the wire, and --submit is the matching client:
+// plan on connected fare-worker processes instead of local threads:
 //
 //   fare-run --plan smoke --listen 127.0.0.1:7500 --min-workers 3 ...
-//   fare-run --serve 127.0.0.1:7500 --cache-dir cache/
-//   fare-run --submit smoke@127.0.0.1:7500 --json out.json --canonical
 //
 // Exit codes: 0 success, 1 execution/merge failure, 2 usage error.
-#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
-#include <deque>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -36,7 +29,7 @@
 #include "common/error.hpp"
 #include "common/simd.hpp"
 #include "graph/partitioner.hpp"
-#include "net/protocol.hpp"
+#include "net/socket.hpp"
 #include "nn/model_family.hpp"
 #include "sim/builtin_plans.hpp"
 #include "sim/cell_cache.hpp"
@@ -100,12 +93,6 @@ int usage(std::ostream& os, int code) {
           "                     FARE_FABRIC_SECRET environment variable);\n"
           "                     peers without the matching secret are\n"
           "                     dropped at handshake\n\n"
-          "Run as a long-lived daemon accepting workers and plan\n"
-          "submissions over the wire:\n"
-          "  fare-run --serve HOST:PORT [--cache-dir DIR] [fleet options]\n\n"
-          "Submit a plan to a daemon and stream its results back:\n"
-          "  fare-run --submit NAME@HOST:PORT [--secret S] [--epochs E]\n"
-          "           [--out PATH] [--json PATH] [--canonical]\n\n"
           "Merge shard record files into plan-ordered display JSON:\n"
           "  fare-run --merge OUT IN1 IN2 ... [--canonical]\n\n"
           "Compact a cell cache in place (drop dead lines, fold segments,\n"
@@ -291,9 +278,8 @@ int parse_ms(const std::string& arg, const std::string& s) {
     return static_cast<int>(n.value());
 }
 
-/// --port-file: how scripts rendezvous with an ephemeral --listen/--serve
-/// port. Written atomically (tmp + rename) so a watcher never reads half a
-/// line.
+/// --port-file: how scripts rendezvous with an ephemeral --listen port.
+/// Written atomically (tmp + rename) so a watcher never reads half a line.
 void write_port_file(const std::string& path, std::uint16_t port) {
     const std::string tmp = path + ".tmp";
     {
@@ -305,225 +291,10 @@ void write_port_file(const std::string& path, std::uint16_t port) {
                "cannot write --port-file: " + path);
 }
 
-/// Serve side of one submission: streams every finished cell to the
-/// submitter as a `cell` frame. Send failures flip a latch and stop further
-/// sends — a submitter killed mid-stream costs nothing but its own output;
-/// the plan still completes (and lands in the daemon's cache).
-class WireStreamSink final : public ResultSink {
-public:
-    WireStreamSink(net::Socket& socket, std::string plan)
-        : socket_(socket), plan_(std::move(plan)) {
-        streaming();
-    }
-    void cell(const CellResult& r) override {
-        if (!submitter_alive_) return;
-        const Expected<bool> sent = net::send_message(
-            socket_, net::make_cell(plan_, r.plan_index, r));
-        if (!sent.ok()) submitter_alive_ = false;
-        ++streamed_;
-    }
-    std::size_t streamed() const { return streamed_; }
-    bool submitter_alive() const { return submitter_alive_; }
-
-private:
-    net::Socket& socket_;
-    std::string plan_;
-    std::size_t streamed_ = 0;
-    bool submitter_alive_ = true;
-};
-
-/// One daemon submission, start to finish. Every failure path answers with
-/// a `done` frame carrying the error (best-effort) and returns — nothing a
-/// submitter does can take the daemon down.
-void handle_submission(net::Socket socket, WorkerPool& pool,
-                       const SessionOptions& session_options) {
-    const auto refuse = [&](const std::string& error) {
-        net::send_message(socket, net::make_done(0, error));
-        std::cerr << "fare-serve: refused submission from "
-                  << socket.peer_label() << ": " << error << '\n';
-    };
-    const Expected<std::optional<net::WireMessage>> request =
-        net::recv_message(socket, 10000);
-    if (!request.ok() || !request.value().has_value()) {
-        std::cerr << "fare-serve: submitter " << socket.peer_label()
-                  << " vanished before submitting\n";
-        return;
-    }
-    const net::WireMessage& submit = *request.value();
-    if (submit.type != net::WireMessage::Type::kSubmit)
-        return refuse(std::string("expected submit, got ") +
-                      net::wire_type_name(submit.type));
-
-    ExperimentPlan plan;
-    try {
-        plan = find_builtin_plan(submit.plan);
-    } catch (const std::exception& e) {
-        return refuse(e.what());
-    }
-    if (submit.epochs)
-        for (CellSpec& cell : plan.cells)
-            cell.epochs = static_cast<std::size_t>(*submit.epochs);
-
-    std::cerr << "fare-serve: running plan '" << plan.name << "' ("
-              << plan.cells.size() << " cells) for " << socket.peer_label()
-              << '\n';
-    try {
-        SimSession session(session_options,
-                           std::make_unique<RemoteExecutor>(pool), nullptr);
-        auto& sink = static_cast<WireStreamSink&>(session.add_sink(
-            std::make_unique<WireStreamSink>(socket, plan.name)));
-        session.run(plan);
-        net::send_message(socket, net::make_done(sink.streamed(), ""));
-        std::cerr << "fare-serve: plan '" << plan.name << "' done, "
-                  << sink.streamed() << " cells streamed"
-                  << (sink.submitter_alive() ? "" : " (submitter lost)")
-                  << '\n';
-    } catch (const std::exception& e) {
-        refuse(e.what());
-    }
-}
-
-/// --serve: the daemon loop. One WorkerPool outlives every submission, so
-/// workers stay connected between plans and the disk cache keeps warming.
-/// Submissions are handed off from the accept thread through a queue and
-/// processed sequentially here.
-int serve(const net::Endpoint& endpoint, const SessionOptions& session_options,
-          const FabricConfig& fabric, const std::string& port_file) {
-    Expected<std::unique_ptr<WorkerPool>> pool =
-        WorkerPool::listen(endpoint.host, endpoint.port, fabric);
-    if (!pool.ok()) {
-        std::cerr << "fare-serve: " << pool.error() << '\n';
-        return 1;
-    }
-    WorkerPool& workers = *pool.value();
-
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<net::Socket> submissions;
-    workers.set_submitter_handler([&](net::Socket socket) {
-        std::lock_guard<std::mutex> lk(mu);
-        submissions.push_back(std::move(socket));
-        cv.notify_all();
-    });
-
-    if (!port_file.empty()) write_port_file(port_file, workers.port());
-    std::cerr << "fare-serve: listening on " << endpoint.host << ':'
-              << workers.port() << " (workers + submissions)\n";
-    while (true) {
-        net::Socket socket;
-        {
-            std::unique_lock<std::mutex> lk(mu);
-            cv.wait(lk, [&] { return !submissions.empty(); });
-            socket = std::move(submissions.front());
-            submissions.pop_front();
-        }
-        handle_submission(std::move(socket), workers, session_options);
-    }
-}
-
-/// --submit NAME@HOST:PORT: the daemon's client. Collects the streamed
-/// cells and writes the same outputs a local run would.
-int submit(const std::string& spec, const std::string& secret,
-           std::optional<std::size_t> epochs, const std::string& out_path,
-           const std::string& json_path, bool canonical) {
-    const std::size_t at = spec.find('@');
-    if (at == std::string::npos || at == 0) {
-        std::cerr << "fare-run: --submit wants NAME@HOST:PORT, got '" << spec
-                  << "'\n";
-        return 2;
-    }
-    const std::string plan_name = spec.substr(0, at);
-    const Expected<net::Endpoint> endpoint =
-        net::parse_endpoint(spec.substr(at + 1));
-    if (!endpoint.ok() || endpoint.value().port == 0) {
-        std::cerr << "fare-run: " << (endpoint.ok() ? "port 0 in --submit"
-                                                    : endpoint.error())
-                  << '\n';
-        return 2;
-    }
-
-    Expected<net::Socket> connected =
-        net::tcp_connect(endpoint.value().host, endpoint.value().port);
-    if (!connected.ok()) {
-        std::cerr << "fare-run: " << connected.error() << '\n';
-        return 1;
-    }
-    net::Socket socket = std::move(connected).value();
-    const Expected<bool> shaken =
-        net::client_handshake(socket, net::kRoleSubmitter, secret, 10000);
-    if (!shaken.ok()) {
-        std::cerr << "fare-run: " << shaken.error() << '\n';
-        return 1;
-    }
-    std::optional<std::uint64_t> wire_epochs;
-    if (epochs) wire_epochs = static_cast<std::uint64_t>(*epochs);
-    if (!net::send_message(socket, net::make_submit(plan_name, wire_epochs))
-             .ok()) {
-        std::cerr << "fare-run: submit send failed\n";
-        return 1;
-    }
-
-    std::map<std::size_t, CellResult> by_index;
-    while (true) {
-        // No stall timeout: a big cell can legitimately take minutes; a dead
-        // daemon surfaces as EOF the moment the kernel notices.
-        Expected<std::optional<net::WireMessage>> msg =
-            net::recv_message(socket, -1);
-        if (!msg.ok()) {
-            std::cerr << "fare-run: " << msg.error() << '\n';
-            return 1;
-        }
-        if (!msg.value().has_value()) {
-            std::cerr << "fare-run: daemon hung up mid-stream\n";
-            return 1;
-        }
-        net::WireMessage m = *std::move(msg).value();
-        if (m.type == net::WireMessage::Type::kCell) {
-            m.result.plan_index = static_cast<std::size_t>(m.index);
-            by_index[m.result.plan_index] = std::move(m.result);
-        } else if (m.type == net::WireMessage::Type::kDone) {
-            if (!m.error.empty()) {
-                std::cerr << "fare-run: submission failed: " << m.error << '\n';
-                return 1;
-            }
-            break;
-        } else {
-            std::cerr << "fare-run: unexpected " << net::wire_type_name(m.type)
-                      << " from daemon\n";
-            return 1;
-        }
-    }
-
-    if (!out_path.empty()) {
-        std::ofstream out(out_path, std::ios::trunc);
-        FARE_CHECK(out.good(), "cannot open --out path: " + out_path);
-        for (const auto& [index, cell] : by_index) {
-            CellRecord record;
-            record.plan = plan_name;
-            record.key = cell.spec.key();
-            record.plan_index = index;
-            record.result = cell;
-            out << cell_record_to_json(record) << '\n';
-        }
-    }
-    if (!json_path.empty()) {
-        std::ofstream out(json_path, std::ios::trunc);
-        FARE_CHECK(out.good(), "cannot open --json path: " + json_path);
-        for (const auto& [index, cell] : by_index)
-            out << cell_to_json(plan_name, index,
-                                canonicalized(cell, canonical))
-                << '\n';
-    }
-    std::cerr << "fare-run: plan '" << plan_name << "' via "
-              << spec.substr(at + 1) << ": " << by_index.size()
-              << " cells streamed back\n";
-    return 0;
-}
-
 int run(int argc, char** argv) {
     std::string plan_name, out_path, json_path, merge_out, cache_dir;
     std::vector<std::string> merge_inputs;
-    std::string listen_spec, serve_spec, submit_spec, port_file;
+    std::string listen_spec, port_file;
     SessionOptions options;
     FabricConfig fabric;
     std::size_t min_workers = 1;
@@ -569,8 +340,6 @@ int run(int argc, char** argv) {
         else if (arg == "--quiet") quiet = true;
         else if (arg == "--progress") options.progress = &std::cerr;
         else if (arg == "--listen") listen_spec = value();
-        else if (arg == "--serve") serve_spec = value();
-        else if (arg == "--submit") submit_spec = value();
         else if (arg == "--port-file") port_file = value();
         else if (arg == "--min-workers") {
             const Expected<double> n = parse_double(value());
@@ -616,17 +385,6 @@ int run(int argc, char** argv) {
     fabric.log = &std::cerr;
     options.cache_dir = cache_dir;
     options.cache_max_bytes = cache_max_bytes;
-    if (!submit_spec.empty())
-        return submit(submit_spec, fabric.secret, epochs, out_path, json_path,
-                      canonical);
-    if (!serve_spec.empty()) {
-        const Expected<net::Endpoint> endpoint = net::parse_endpoint(serve_spec);
-        if (!endpoint.ok()) {
-            std::cerr << "fare-run: " << endpoint.error() << "\n\n";
-            return usage(std::cerr, 2);
-        }
-        return serve(endpoint.value(), options, fabric, port_file);
-    }
     if (plan_name.empty()) return usage(std::cerr, 2);
 
     ExperimentPlan plan = find_builtin_plan(plan_name);

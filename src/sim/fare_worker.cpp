@@ -1,17 +1,11 @@
 // fare-worker: one fabric worker process. Connects to a fare-run
-// coordinator (--listen or --serve), receives CellSpecs, runs them, streams
+// coordinator (--listen), receives CellSpecs, runs them, streams
 // CellResults back, and heartbeats throughout — including while a cell
 // trains, which is what lets the coordinator tell a slow worker from a dead
 // one. Stateless: the cell cache lives with the coordinator's session.
 //
 //   fare-worker --connect HOST:PORT [--secret S] [--connect-retry-ms N]
 //               [--heartbeat-ms N] [--quiet]
-//
-// The two fault hooks exist for tests and scripts/fleet_smoke.sh:
-//   --hang-after N   complete N cells, then accept assigns but never answer
-//                    (a straggler: heartbeats keep flowing)
-//   --quit-after N   complete N cells, then drop the connection on the next
-//                    assign (a crash with a cell in flight)
 //
 // Exit codes: 0 clean end-of-stream from the coordinator, 1 connection or
 // protocol failure, 2 usage error.
@@ -21,13 +15,14 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "net/socket.hpp"
 #include "sim/remote_executor.hpp"
 
 namespace fare {
 namespace {
 
 int usage(std::ostream& os, int code) {
-    os << "fare-worker — fabric worker for fare-run --listen / --serve\n\n"
+    os << "fare-worker — fabric worker for fare-run --listen\n\n"
           "  fare-worker --connect HOST:PORT [options]\n"
           "    --secret S        shared fabric secret (defaults to the\n"
           "                      FARE_FABRIC_SECRET environment variable);\n"
@@ -37,8 +32,6 @@ int usage(std::ostream& os, int code) {
           "                      before giving up (default 10000, 0 = one\n"
           "                      attempt) — lets workers start first\n"
           "    --heartbeat-ms N  heartbeat cadence (default 1000)\n"
-          "    --hang-after N    fault hook: go silent after N cells\n"
-          "    --quit-after N    fault hook: drop the link after N cells\n"
           "    --quiet           no log lines on stderr\n";
     return code;
 }
@@ -69,14 +62,6 @@ int run(int argc, char** argv) {
             const Expected<double> n = parse_double(value());
             if (!n || n.value() < 1) throw InvalidArgument("bad --heartbeat-ms");
             options.heartbeat_interval_ms = static_cast<int>(n.value());
-        } else if (arg == "--hang-after") {
-            const Expected<double> n = parse_double(value());
-            if (!n || n.value() < 1) throw InvalidArgument("bad --hang-after");
-            options.hang_after = static_cast<std::size_t>(n.value());
-        } else if (arg == "--quit-after") {
-            const Expected<double> n = parse_double(value());
-            if (!n || n.value() < 1) throw InvalidArgument("bad --quit-after");
-            options.quit_after = static_cast<std::size_t>(n.value());
         } else if (arg == "--quiet") {
             options.log = nullptr;
         } else {

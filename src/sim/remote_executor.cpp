@@ -68,7 +68,6 @@ struct WorkerPool::Impl {
     std::condition_variable cv;
     std::map<std::uint64_t, std::shared_ptr<Worker>> workers;
     std::deque<Event> events;
-    SubmitterFn submitter;
     bool stopping = false;
     std::uint64_t next_worker_id = 1;
     std::uint64_t next_job_id = 1;
@@ -135,20 +134,9 @@ struct WorkerPool::Impl {
                 " != " + std::to_string(net::kProtocolVersion));
             return;
         }
-        SubmitterFn handler;
-        if (h.role == net::kRoleSubmitter) {
-            {
-                std::lock_guard<std::mutex> lk(mu);
-                handler = submitter;
-            }
-            if (!handler) {
-                log("refused submitter " + label + " (not in serve mode)");
-                return;
-            }
-        }
-        // Shared-secret handshake: challenge in the welcome, proof back.
-        // Applies to workers and submitters alike; a wrong or missing proof
-        // costs the connection before the peer touches any plan state.
+        // Shared-secret handshake: challenge in the welcome, proof back. A
+        // wrong or missing proof costs the connection before the peer
+        // touches any plan state.
         std::string challenge;
         if (!config.secret.empty()) challenge = make_challenge();
         if (!net::send_message(sock, net::make_welcome(challenge))) return;
@@ -171,11 +159,6 @@ struct WorkerPool::Impl {
                     "--secret?)");
                 return;
             }
-        }
-        if (h.role == net::kRoleSubmitter) {
-            log("submitter connected: " + label);
-            handler(std::move(sock));
-            return;
         }
         auto worker = std::make_shared<Worker>();
         worker->socket = std::move(sock);
@@ -244,13 +227,18 @@ struct WorkerPool::Impl {
         std::lock_guard<std::mutex> lk(mu);
         if (!w.alive) return;
         w.alive = false;
-        events.push_back(Event{Event::Kind::kGone, w.id, w.job, {}, why});
+        Event gone;
+        gone.kind = Event::Kind::kGone;
+        gone.worker = w.id;
+        gone.job = w.job;
+        gone.error = why;
+        events.push_back(std::move(gone));
         cv.notify_all();
         log("worker " + std::to_string(w.id) + " (" + w.label + ") lost: " + why);
     }
 
     /// Join and release workers whose readers have exited. Runs on the
-    /// accept thread between accepts, so a long-lived daemon doesn't
+    /// accept thread between accepts, so a long-lived coordinator doesn't
     /// accumulate zombie threads across worker restarts.
     void reap_dead() {
         std::vector<std::shared_ptr<Worker>> dead;
@@ -326,11 +314,6 @@ bool WorkerPool::wait_for_workers(std::size_t n, int timeout_ms) {
         return true;
     }
     return impl_->cv.wait_for(lk, ms(timeout_ms), ready);
-}
-
-void WorkerPool::set_submitter_handler(SubmitterFn handler) {
-    std::lock_guard<std::mutex> lk(impl_->mu);
-    impl_->submitter = std::move(handler);
 }
 
 // ---------------------------------------------------------------------------

@@ -27,13 +27,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
 
 #include "common/error.hpp"
-#include "net/socket.hpp"
 #include "sim/executor.hpp"
 
 namespace fare {
@@ -62,18 +60,12 @@ struct FabricConfig {
     std::ostream* log = nullptr;
 };
 
-/// Coordinator endpoint: listens for fare-worker (and, in serve mode,
-/// submitter) connections and keeps a live table of connected workers. One
-/// pool outlives many plans — the fare-serve daemon reuses its workers
-/// across submissions. Thread-safe; owned threads: one acceptor plus one
-/// reader per connected peer.
+/// Coordinator endpoint: listens for fare-worker connections and keeps a
+/// live table of connected workers. One pool may serve several plans in
+/// turn (one RemoteExecutor each). Thread-safe; owned threads: one acceptor
+/// plus one reader per connected peer.
 class WorkerPool {
 public:
-    /// Serve-mode hook: called from the accept thread with each submitter
-    /// connection after its hello/welcome handshake. Without a handler,
-    /// submitter hellos are refused.
-    using SubmitterFn = std::function<void(net::Socket)>;
-
     /// Bind and start accepting. `port` 0 picks an ephemeral port — read it
     /// back with port().
     static Expected<std::unique_ptr<WorkerPool>> listen(
@@ -90,7 +82,6 @@ public:
     /// the coordinator first). Returns false if `timeout_ms` elapses first;
     /// negative waits forever.
     bool wait_for_workers(std::size_t n, int timeout_ms = -1);
-    void set_submitter_handler(SubmitterFn handler);
 
 private:
     friend class RemoteExecutor;
@@ -115,8 +106,8 @@ private:
     WorkerPool& pool_;
 };
 
-/// Worker-side knobs. The two fault hooks exist so tests (and
-/// scripts/fleet_smoke.sh) can script misbehaviour deterministically.
+/// Worker-side knobs. The two fault hooks exist so tests can script
+/// misbehaviour deterministically.
 struct WorkerOptions {
     /// Heartbeat send cadence; keep well under the coordinator's
     /// heartbeat_timeout_ms.

@@ -169,17 +169,11 @@ TEST(ProtocolTest, EveryMessageTypeRoundTrips) {
 
     const WireMessage messages[] = {
         make_hello(kRoleWorker),
-        make_hello(kRoleSubmitter),
         make_welcome(),
         make_assign(42, spec),
         make_result(42, result),
         make_cell_error(42, "cell raised: bad density"),
         make_heartbeat(),
-        make_submit("fig5_accuracy", 3),
-        make_submit("fig6_postdeploy", std::nullopt),
-        make_cell("fig5_accuracy", 17, result),
-        make_done(90, ""),
-        make_done(0, "unknown plan"),
     };
     for (const WireMessage& original : messages) {
         const std::string payload = encode_message(original);
@@ -199,11 +193,11 @@ TEST(ProtocolTest, EveryMessageTypeRoundTrips) {
     EXPECT_EQ(assign.job, 42u);
     EXPECT_EQ(assign.spec.key(), spec.key());
     EXPECT_EQ(assign.spec.seed, spec.seed);
-    const WireMessage cell =
-        decode_message(encode_message(make_cell("p", 17, result))).value();
-    EXPECT_EQ(cell.plan, "p");
-    EXPECT_EQ(cell.index, 17u);
-    EXPECT_DOUBLE_EQ(cell.result.run.train.test_accuracy, 0.875);
+    const WireMessage back =
+        decode_message(encode_message(make_result(42, result))).value();
+    EXPECT_EQ(back.job, 42u);
+    EXPECT_EQ(back.result.spec.key(), spec.key());
+    EXPECT_DOUBLE_EQ(back.result.run.train.test_accuracy, 0.875);
 }
 
 TEST(ProtocolTest, MalformedMessagesAreErrorsNotAborts) {
@@ -215,12 +209,25 @@ TEST(ProtocolTest, MalformedMessagesAreErrorsNotAborts) {
     // Required fields per type.
     EXPECT_FALSE(decode_message("{\"type\":\"assign\",\"job\":1}").ok());
     EXPECT_FALSE(decode_message("{\"type\":\"result\",\"job\":1}").ok());
-    EXPECT_FALSE(decode_message("{\"type\":\"submit\"}").ok());
     EXPECT_FALSE(decode_message("{\"type\":\"hello\"}").ok());
+    // Types outside the vocabulary are refused even when well-formed, e.g.
+    // protocol 1's plan-submission messages submit / cell / done.
+    EXPECT_FALSE(
+        decode_message("{\"type\":\"submit\",\"plan\":\"smoke\",\"epochs\":null}")
+            .ok());
+    EXPECT_FALSE(decode_message("{\"type\":\"cell\",\"plan\":\"smoke\",\"index\":0,"
+                                "\"result\":" +
+                                cell_result_to_json(CellResult{}) + "}")
+                     .ok());
+    EXPECT_FALSE(
+        decode_message("{\"type\":\"done\",\"cells\":90,\"error\":\"\"}").ok());
     // Roles are a whitelist — an unknown peer class is refused at decode.
     EXPECT_FALSE(
         decode_message("{\"type\":\"hello\",\"role\":\"admin\",\"protocol\":1}")
             .ok());
+    EXPECT_FALSE(decode_message("{\"type\":\"hello\",\"role\":\"submitter\","
+                                "\"protocol\":2}")
+                     .ok());
     EXPECT_TRUE(
         decode_message("{\"type\":\"hello\",\"role\":\"worker\",\"protocol\":1}")
             .ok());

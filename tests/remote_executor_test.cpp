@@ -10,6 +10,7 @@
 //     of retrying forever;
 //   * with a shared secret configured, only peers holding the secret are
 //     registered — a wrong or missing auth proof costs the connection;
+//   * a peer speaking another protocol version is dropped at hello;
 //   * a worker started before the coordinator retries the refused
 //     connection (bounded backoff) instead of exiting;
 //   * an online-tolerance plan runs byte-identical over the fabric: the
@@ -18,11 +19,14 @@
 
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "net/protocol.hpp"
+#include "net/socket.hpp"
 #include "sim/cell_cache.hpp"
 #include "sim/remote_executor.hpp"
 #include "sim/serialization.hpp"
@@ -225,6 +229,37 @@ TEST(RemoteExecutorTest, WrongOrMissingSecretIsRefused) {
     w2.join();
     EXPECT_FALSE(pool->wait_for_workers(1, 200));
     EXPECT_EQ(pool->connected(), 0u);
+}
+
+TEST(RemoteExecutorTest, StaleProtocolHelloIsDropped) {
+    Expected<std::unique_ptr<WorkerPool>> listening =
+        WorkerPool::listen("127.0.0.1", 0, FabricConfig{});
+    ASSERT_TRUE(listening.ok()) << listening.error();
+    std::unique_ptr<WorkerPool> pool = std::move(listening).value();
+
+    // A worker from the previous protocol: the coordinator hangs up instead
+    // of answering with a welcome, and nothing is registered.
+    Expected<net::Socket> stale_conn =
+        net::tcp_connect("127.0.0.1", pool->port());
+    ASSERT_TRUE(stale_conn.ok()) << stale_conn.error();
+    net::Socket stale = std::move(stale_conn).value();
+    net::WireMessage hello = net::make_hello(net::kRoleWorker);
+    hello.protocol = net::kProtocolVersion - 1;
+    ASSERT_TRUE(net::send_message(stale, hello).ok());
+    const Expected<std::optional<net::WireMessage>> reply =
+        net::recv_message(stale, 5000);
+    EXPECT_TRUE(!reply.ok() || !reply.value().has_value());
+    EXPECT_FALSE(pool->wait_for_workers(1, 200));
+    EXPECT_EQ(pool->connected(), 0u);
+
+    // Control: the same raw handshake at the current version registers.
+    Expected<net::Socket> current_conn =
+        net::tcp_connect("127.0.0.1", pool->port());
+    ASSERT_TRUE(current_conn.ok()) << current_conn.error();
+    net::Socket current = std::move(current_conn).value();
+    ASSERT_TRUE(
+        net::client_handshake(current, net::kRoleWorker, "", 5000).ok());
+    EXPECT_TRUE(pool->wait_for_workers(1, 5000));
 }
 
 TEST(RemoteExecutorTest, WorkerRetriesUntilCoordinatorAppears) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 
 #include "common/rng.hpp"
 
@@ -168,6 +170,48 @@ TEST_P(RowMatcherSweep, NeverWorseThanIdentity) {
 
 INSTANTIATE_TEST_SUITE_P(Densities, RowMatcherSweep,
                          ::testing::Values(0.01, 0.03, 0.05, 0.1, 0.2));
+
+/// 64-bit FNV-1a, folded one byte at a time (little-endian for words).
+void fnv1a(std::uint64_t& h, std::uint64_t word, int bytes) {
+    for (int b = 0; b < bytes; ++b) {
+        h ^= (word >> (8 * b)) & 0xFFu;
+        h *= 1099511628211ull;
+    }
+}
+
+/// Oracle at the real crossbar height (Tile::crossbar_rows = 128): every
+/// b-Suitor permutation is valid and never beats the Hungarian optimum, and
+/// one digest over all perms and costs pins the exact output — a faster
+/// matcher that moves a single row assignment fails here.
+TEST(RowMatcherTest, OracleAtCrossbarBlockSize) {
+    constexpr std::uint16_t n = 128;
+    constexpr double kBlockDensity = 0.05;
+    std::uint64_t digest = 1469598103934665603ull;
+    int instance = 0;
+    for (const double density : {0.01, 0.03, 0.10}) {
+        for (const double sa1 : {0.1, 0.5}) {
+            for (std::uint64_t seed = 1; seed <= 4; ++seed, ++instance) {
+                Rng rng(seed * 7919 + static_cast<std::uint64_t>(instance));
+                const BinaryBlock block = random_block(n, kBlockDensity, rng);
+                const FaultMap map = random_map(n, density, sa1, rng);
+                const RowMatchResult approx = best_row_permutation(block, map);
+                const RowMatchResult exact =
+                    best_row_permutation_exact(block, map);
+                check_is_permutation(approx.perm, n);
+                EXPECT_LE(exact.cost, approx.cost + 1e-9)
+                    << "density " << density << " sa1 " << sa1 << " seed "
+                    << seed;
+                for (const std::uint16_t p : approx.perm) fnv1a(digest, p, 2);
+                std::uint64_t cost_bits = 0;
+                std::memcpy(&cost_bits, &approx.cost, sizeof(cost_bits));
+                fnv1a(digest, cost_bits, 8);
+            }
+        }
+    }
+    EXPECT_EQ(instance, 24);
+    EXPECT_EQ(digest, 0x1ec270e4cf56b276ull)
+        << std::hex << "digest 0x" << digest;
+}
 
 }  // namespace
 }  // namespace fare
