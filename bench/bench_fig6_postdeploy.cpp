@@ -20,16 +20,16 @@ int main() {
     const std::vector<double> densities{0.01, 0.02, 0.03};
     const std::vector<double> sa1_fractions{0.1, 0.5};
 
-    // +1% over the whole run, expressed as a first-class builder axis (the
-    // SA1 ratio of the wear stream follows the per-cell pre-deployment
-    // ratio — the builder mirrors it). post_epoch_span(0) = spread across
-    // the full training run.
+    // +1% over the whole run (post_epochs 0 = spread across the full
+    // training run). The SA1 ratio of the wear stream follows the per-cell
+    // pre-deployment ratio — the builder mirrors it.
+    FaultScenario post_deployment;
+    post_deployment.with_post_deployment(0.01);
     const ExperimentPlan plan = SweepBuilder("fig6_postdeploy")
                                     .workloads(fig6_workloads())
+                                    .scenario(post_deployment)
                                     .densities(densities)
                                     .sa1_fractions(sa1_fractions)
-                                    .post_density(0.01)
-                                    .post_epoch_span(0)
                                     .schemes(figure_schemes())
                                     .seed(1)
                                     .build();

@@ -31,7 +31,7 @@ struct FaultScenario {
     std::size_t post_epochs = 0;
     double post_sa1_fraction = 0.1;
     /// Whether the wear stream's SA1 ratio follows sa1_fraction (the paper's
-    /// Fig. 6 setting). SweepBuilder mirrors its SA1 axis into
+    /// Fig. 6 setting). SweepBuilder copies every cell's sa1_fraction into
     /// post_sa1_fraction only while this is set; with_post_deployment() with
     /// an explicit ratio clears it.
     bool post_sa1_follows_pre = true;

@@ -44,7 +44,9 @@ ExperimentPlan online_tolerance_plan() {
     // detection; the non-online schemes' cell keys normalise the online
     // policy away, so they run once per scheme, not once per axis value.
     WearSpec wear;
+    wear.endurance_mean_writes = 40e3;
     wear.weibull_shape = 2.0;
+    wear.hot_spot_fraction = 0.25;
     wear.hot_spot_severity = 8.0;
     wear.writes_per_step = 1000;
     FaultScenario scenario = FaultScenario::pre_deployment(0.01, 0.5);
@@ -58,8 +60,6 @@ ExperimentPlan online_tolerance_plan() {
         .workload(find_workload("PPI", GnnKind::kGCN))
         .scenario(scenario)
         .hardware(hw)
-        .endurance_mean(40e3)
-        .hot_spot_fraction(0.25)
         .detect_periods({2, 8})
         .schemes({Scheme::kFaultUnaware, Scheme::kFARe, Scheme::kOnlineFARe,
                   Scheme::kOnlineNaive})

@@ -10,28 +10,6 @@
 
 namespace fare {
 
-namespace {
-
-/// FNV-1a over a string — stable basis for SeedPolicy::kDerived.
-std::uint64_t fnv1a(const std::string& s) {
-    std::uint64_t h = 1469598103934665603ull;
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-/// splitmix64 finalizer: decorrelates seeds that differ in few bits.
-std::uint64_t splitmix64(std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-}  // namespace
-
 const char* cell_mode_name(CellMode mode) {
     return mode == CellMode::kTrain ? "train" : "deploy";
 }
@@ -103,7 +81,7 @@ std::string CellSpec::key() const {
                         : "hwseed=" + std::to_string(hardware_seed.value_or(seed)) +
                               "|" + faults.key() + "|" + hw.key());
     // The partitioning block is appended only when overridden: every legacy
-    // key (and every kDerived seed hashed from it) stays byte-stable.
+    // key stays byte-stable.
     if (!partitioner.empty() || partition_count > 0)
         os << "|part=" << partitioner << '/' << partition_count;
     // Same convention for the model-family tag: "gnn" (the only family the
@@ -112,18 +90,43 @@ std::string CellSpec::key() const {
     return os.str();
 }
 
+namespace {
+
+/// Value check for axes that accept any value.
+constexpr auto kAnyValue = [](const auto&) { return ""; };
+
+/// Value check for fraction axes: `complaint` unless the value is in [0,1].
+auto in_unit_interval(const char* complaint) {
+    return [complaint](double v) { return v >= 0.0 && v <= 1.0 ? "" : complaint; };
+}
+
+}  // namespace
+
 SweepBuilder::SweepBuilder(std::string name) : name_(std::move(name)) {}
 
-SweepBuilder& SweepBuilder::workload(const WorkloadSpec& w) {
-    workloads_.push_back(w);
+template <class T, class Check, class Set>
+SweepBuilder& SweepBuilder::axis(Axis slot, const std::vector<T>& values,
+                                 Check check, Set set) {
+    // An empty list would silently collapse the axis to the template value.
+    FARE_CHECK(!values.empty(), "sweep '" + name_ + "': empty axis");
+    std::vector<Setter>& setters = axes_[slot];
+    setters.clear();
+    for (const T& v : values) {
+        // Catch typo'd axis values here, not mid-sweep on a worker.
+        const std::string problem = check(v);
+        FARE_CHECK(problem.empty(), "sweep '" + name_ + "': " + problem);
+        setters.push_back([set, v](CellSpec& cell) { set(cell, v); });
+    }
     return *this;
+}
+
+SweepBuilder& SweepBuilder::workload(const WorkloadSpec& w) {
+    return workloads({w});
 }
 SweepBuilder& SweepBuilder::workloads(const std::vector<WorkloadSpec>& w) {
-    workloads_.insert(workloads_.end(), w.begin(), w.end());
+    for (const WorkloadSpec& spec : w)
+        axes_[kWorkload].push_back([spec](CellSpec& cell) { cell.workload = spec; });
     return *this;
-}
-SweepBuilder& SweepBuilder::model_family(const std::string& name) {
-    return model_families({name});
 }
 SweepBuilder& SweepBuilder::model_families(const std::vector<std::string>& names) {
     for (const std::string& name : names) {
@@ -135,313 +138,119 @@ SweepBuilder& SweepBuilder::model_families(const std::vector<std::string>& names
 }
 SweepBuilder& SweepBuilder::scheme(Scheme s) { return schemes({s}); }
 SweepBuilder& SweepBuilder::schemes(const std::vector<Scheme>& s) {
-    schemes_ = s;
-    return *this;
+    return axis(kScheme, s, kAnyValue,
+                [](CellSpec& cell, Scheme v) { cell.scheme = v; });
 }
 SweepBuilder& SweepBuilder::density(double d) { return densities({d}); }
 SweepBuilder& SweepBuilder::densities(const std::vector<double>& d) {
-    densities_ = d;
-    return *this;
+    return axis(kDensity, d, in_unit_interval("fault density outside [0,1]"),
+                [](CellSpec& cell, double v) { cell.faults.density = v; });
 }
 SweepBuilder& SweepBuilder::sa1_fraction(double f) { return sa1_fractions({f}); }
 SweepBuilder& SweepBuilder::sa1_fractions(const std::vector<double>& f) {
-    sa1_fractions_ = f;
-    return *this;
-}
-SweepBuilder& SweepBuilder::cluster_shape(double shape) {
-    return cluster_shapes({shape});
-}
-SweepBuilder& SweepBuilder::cluster_shapes(const std::vector<double>& shapes) {
-    cluster_shapes_ = shapes;
-    return *this;
-}
-SweepBuilder& SweepBuilder::post_density(double d) {
-    return post_densities({d});
-}
-SweepBuilder& SweepBuilder::post_densities(const std::vector<double>& d) {
-    post_densities_ = d;
-    return *this;
-}
-SweepBuilder& SweepBuilder::post_epoch_span(std::size_t epochs) {
-    return post_epoch_spans({epochs});
-}
-SweepBuilder& SweepBuilder::post_epoch_spans(
-    const std::vector<std::size_t>& epochs) {
-    post_epoch_spans_ = epochs;
-    return *this;
-}
-SweepBuilder& SweepBuilder::noise_sigma(double sigma) {
-    return noise_sigmas({sigma});
+    return axis(kSa1, f, in_unit_interval("SA1 fraction outside [0,1]"),
+                [](CellSpec& cell, double v) { cell.faults.sa1_fraction = v; });
 }
 SweepBuilder& SweepBuilder::noise_sigmas(const std::vector<double>& sigmas) {
-    noise_sigmas_ = sigmas;
-    return *this;
-}
-SweepBuilder& SweepBuilder::clip_threshold(float tau) {
-    return clip_thresholds({tau});
-}
-SweepBuilder& SweepBuilder::clip_thresholds(const std::vector<float>& taus) {
-    clip_thresholds_ = taus;
-    return *this;
-}
-SweepBuilder& SweepBuilder::endurance_mean(double writes) {
-    return endurance_means({writes});
+    return axis(
+        kNoise, sigmas,
+        [](double v) { return v >= 0.0 ? "" : "read-noise sigma must be >= 0"; },
+        [](CellSpec& cell, double v) { cell.faults.read_noise_sigma = v; });
 }
 SweepBuilder& SweepBuilder::endurance_means(const std::vector<double>& writes) {
-    endurance_means_ = writes;
-    return *this;
+    return axis(
+        kEndurance, writes,
+        [](double v) { return v >= 0.0 ? "" : "endurance mean must be >= 0"; },
+        [](CellSpec& cell, double v) { cell.faults.wear.endurance_mean_writes = v; });
 }
-SweepBuilder& SweepBuilder::hot_spot_fraction(double fraction) {
-    return hot_spot_fractions({fraction});
-}
-SweepBuilder& SweepBuilder::hot_spot_fractions(
-    const std::vector<double>& fractions) {
-    hot_spot_fractions_ = fractions;
-    return *this;
-}
-SweepBuilder& SweepBuilder::arrival_period(std::size_t batches) {
-    return arrival_periods({batches});
-}
-SweepBuilder& SweepBuilder::arrival_periods(
-    const std::vector<std::size_t>& batches) {
-    arrival_periods_ = batches;
-    return *this;
-}
-SweepBuilder& SweepBuilder::detect_period(std::size_t steps) {
-    return detect_periods({steps});
+SweepBuilder& SweepBuilder::hot_spot_fractions(const std::vector<double>& fractions) {
+    return axis(kHotSpot, fractions,
+                in_unit_interval("hot-spot fraction outside [0,1]"),
+                [](CellSpec& cell, double v) { cell.faults.wear.hot_spot_fraction = v; });
 }
 SweepBuilder& SweepBuilder::detect_periods(const std::vector<std::size_t>& steps) {
-    detect_periods_ = steps;
-    return *this;
-}
-SweepBuilder& SweepBuilder::spare_columns(std::size_t columns) {
-    return spare_columns(std::vector<std::size_t>{columns});
-}
-SweepBuilder& SweepBuilder::spare_columns(const std::vector<std::size_t>& columns) {
-    spare_columns_ = columns;
-    return *this;
-}
-SweepBuilder& SweepBuilder::readback_tolerance(double tolerance) {
-    return readback_tolerances({tolerance});
-}
-SweepBuilder& SweepBuilder::readback_tolerances(
-    const std::vector<double>& tolerances) {
-    readback_tolerances_ = tolerances;
-    return *this;
-}
-SweepBuilder& SweepBuilder::partitioner(const std::string& name) {
-    return partitioners({name});
+    return axis(kDetectPeriod, steps, kAnyValue, [](CellSpec& cell, std::size_t v) {
+        cell.hardware.online.detect_period_batches = v;
+    });
 }
 SweepBuilder& SweepBuilder::partitioners(const std::vector<std::string>& names) {
-    partitioners_ = names;
-    return *this;
-}
-SweepBuilder& SweepBuilder::partition_count(int k) {
-    return partition_counts({k});
+    return axis(
+        kPartitioner, names,
+        [](const std::string& v) {
+            if (v.empty()) return std::string();
+            const auto found = try_find_partitioner(v);
+            return found.ok() ? std::string() : found.error();
+        },
+        [](CellSpec& cell, const std::string& v) { cell.partitioner = v; });
 }
 SweepBuilder& SweepBuilder::partition_counts(const std::vector<int>& k) {
-    partition_counts_ = k;
-    return *this;
-}
-SweepBuilder& SweepBuilder::prune_fraction(double fraction) {
-    return prune_fractions({fraction});
+    return axis(
+        kPartitionCount, k,
+        [](int v) { return v >= 0 ? "" : "partition count must be >= 0"; },
+        [](CellSpec& cell, int v) { cell.partition_count = v; });
 }
 SweepBuilder& SweepBuilder::prune_fractions(const std::vector<double>& fractions) {
-    prune_fractions_ = fractions;
-    return *this;
+    return axis(
+        kPrune, fractions,
+        [](double v) {
+            return v >= 0.0 && v < 1.0 ? "" : "prune fraction outside [0,1)";
+        },
+        [](CellSpec& cell, double v) { cell.hardware.prune_fraction = v; });
 }
 SweepBuilder& SweepBuilder::seed(std::uint64_t s) { return seeds({s}); }
 SweepBuilder& SweepBuilder::seeds(const std::vector<std::uint64_t>& s) {
-    seeds_ = s;
-    return *this;
+    return axis(kSeed, s, kAnyValue,
+                [](CellSpec& cell, std::uint64_t v) { cell.seed = v; });
 }
 SweepBuilder& SweepBuilder::scenario(const FaultScenario& base) {
-    scenario_ = base;
+    base_.faults = base;
     return *this;
 }
 SweepBuilder& SweepBuilder::hardware(const HardwareOverrides& hw) {
-    hardware_ = hw;
+    base_.hardware = hw;
     return *this;
 }
 SweepBuilder& SweepBuilder::mode(CellMode m) {
-    mode_ = m;
+    base_.mode = m;
     return *this;
 }
 SweepBuilder& SweepBuilder::record_curve(bool on) {
-    record_curve_ = on;
+    base_.record_curve = on;
     return *this;
 }
 SweepBuilder& SweepBuilder::epochs(std::size_t e) {
-    epochs_ = e;
-    return *this;
-}
-SweepBuilder& SweepBuilder::seed_policy(SeedPolicy p) {
-    seed_policy_ = p;
+    base_.epochs = e;
     return *this;
 }
 
 std::size_t SweepBuilder::size() const {
-    const std::size_t densities = densities_ ? densities_->size() : 1;
-    const std::size_t sa1s = sa1_fractions_ ? sa1_fractions_->size() : 1;
-    const std::size_t clusters = cluster_shapes_ ? cluster_shapes_->size() : 1;
-    const std::size_t posts = post_densities_ ? post_densities_->size() : 1;
-    const std::size_t spans = post_epoch_spans_ ? post_epoch_spans_->size() : 1;
-    const std::size_t noises = noise_sigmas_ ? noise_sigmas_->size() : 1;
-    const std::size_t clips = clip_thresholds_ ? clip_thresholds_->size() : 1;
-    const std::size_t wears = endurance_means_ ? endurance_means_->size() : 1;
-    const std::size_t hots = hot_spot_fractions_ ? hot_spot_fractions_->size() : 1;
-    const std::size_t arrivals = arrival_periods_ ? arrival_periods_->size() : 1;
-    const std::size_t detects = detect_periods_ ? detect_periods_->size() : 1;
-    const std::size_t spares = spare_columns_ ? spare_columns_->size() : 1;
-    const std::size_t tols =
-        readback_tolerances_ ? readback_tolerances_->size() : 1;
-    const std::size_t parts = partitioners_ ? partitioners_->size() : 1;
-    const std::size_t pcounts = partition_counts_ ? partition_counts_->size() : 1;
-    const std::size_t prunes = prune_fractions_ ? prune_fractions_->size() : 1;
-    return workloads_.size() * densities * sa1s * clusters * posts * spans *
-           noises * clips * wears * hots * arrivals * detects * spares * tols *
-           parts * pcounts * prunes * schemes_.size() * seeds_.size();
+    std::size_t cells = 1;
+    for (const std::vector<Setter>& setters : axes_)
+        cells *= std::max<std::size_t>(1, setters.size());
+    return cells;
 }
 
 ExperimentPlan SweepBuilder::build() const {
-    FARE_CHECK(!workloads_.empty(), "sweep '" + name_ + "' has no workloads");
-    FARE_CHECK(!schemes_.empty(), "sweep '" + name_ + "' has no schemes");
-    FARE_CHECK(!seeds_.empty(), "sweep '" + name_ + "' has no seeds");
-
-    const std::vector<double> densities =
-        densities_ ? *densities_ : std::vector<double>{scenario_.density};
-    const std::vector<double> sa1s =
-        sa1_fractions_ ? *sa1_fractions_ : std::vector<double>{scenario_.sa1_fraction};
-    const std::vector<double> clusters =
-        cluster_shapes_ ? *cluster_shapes_
-                        : std::vector<double>{scenario_.cluster_shape};
-    const std::vector<double> posts =
-        post_densities_ ? *post_densities_
-                        : std::vector<double>{scenario_.post_total_density};
-    const std::vector<std::size_t> spans =
-        post_epoch_spans_ ? *post_epoch_spans_
-                          : std::vector<std::size_t>{scenario_.post_epochs};
-    const std::vector<double> noises =
-        noise_sigmas_ ? *noise_sigmas_
-                      : std::vector<double>{scenario_.read_noise_sigma};
-    const std::vector<float> clips =
-        clip_thresholds_ ? *clip_thresholds_
-                         : std::vector<float>{hardware_.clip_threshold};
-    const std::vector<double> endurances =
-        endurance_means_ ? *endurance_means_
-                         : std::vector<double>{scenario_.wear.endurance_mean_writes};
-    const std::vector<double> hots =
-        hot_spot_fractions_ ? *hot_spot_fractions_
-                            : std::vector<double>{scenario_.wear.hot_spot_fraction};
-    const std::vector<std::size_t> arrivals =
-        arrival_periods_ ? *arrival_periods_
-                         : std::vector<std::size_t>{scenario_.arrival_period_batches};
-    const std::vector<std::size_t> detects =
-        detect_periods_
-            ? *detect_periods_
-            : std::vector<std::size_t>{hardware_.online.detect_period_batches};
-    const std::vector<std::size_t> spares =
-        spare_columns_ ? *spare_columns_
-                       : std::vector<std::size_t>{hardware_.online.spare_columns};
-    const std::vector<double> tols =
-        readback_tolerances_
-            ? *readback_tolerances_
-            : std::vector<double>{hardware_.online.readback_tolerance};
-    const std::vector<std::string> parts =
-        partitioners_ ? *partitioners_ : std::vector<std::string>{std::string()};
-    const std::vector<int> pcounts =
-        partition_counts_ ? *partition_counts_ : std::vector<int>{0};
-    const std::vector<double> prunes =
-        prune_fractions_ ? *prune_fractions_
-                         : std::vector<double>{hardware_.prune_fraction};
-    // Catch typo'd axis values at build time, not mid-sweep on a worker.
-    for (const double d : densities)
-        FARE_CHECK(d >= 0.0 && d <= 1.0,
-                   "sweep '" + name_ + "': fault density outside [0,1]");
-    for (const double f : sa1s)
-        FARE_CHECK(f >= 0.0 && f <= 1.0,
-                   "sweep '" + name_ + "': SA1 fraction outside [0,1]");
-    for (const double post : posts)
-        FARE_CHECK(post >= 0.0 && post <= 1.0,
-                   "sweep '" + name_ + "': post-deployment density outside [0,1]");
-    for (const double sigma : noises)
-        FARE_CHECK(sigma >= 0.0,
-                   "sweep '" + name_ + "': read-noise sigma must be >= 0");
-    for (const float tau : clips)
-        FARE_CHECK(tau > 0.0f,
-                   "sweep '" + name_ + "': clip threshold must be > 0");
-    for (const double mean : endurances)
-        FARE_CHECK(mean >= 0.0,
-                   "sweep '" + name_ + "': endurance mean must be >= 0");
-    for (const double hot : hots)
-        FARE_CHECK(hot >= 0.0 && hot <= 1.0,
-                   "sweep '" + name_ + "': hot-spot fraction outside [0,1]");
-    for (const double tol : tols)
-        FARE_CHECK(tol >= 0.0,
-                   "sweep '" + name_ + "': readback tolerance must be >= 0");
-    for (const std::string& pname : parts)
-        if (!pname.empty()) {
-            const auto found = try_find_partitioner(pname);
-            FARE_CHECK(found.ok(), "sweep '" + name_ + "': " + found.error());
-        }
-    for (const int pc : pcounts)
-        FARE_CHECK(pc >= 0,
-                   "sweep '" + name_ + "': partition count must be >= 0");
-    for (const double prune : prunes)
-        FARE_CHECK(prune >= 0.0 && prune < 1.0,
-                   "sweep '" + name_ + "': prune fraction outside [0,1)");
+    FARE_CHECK(!axes_[kWorkload].empty(), "sweep '" + name_ + "' has no workloads");
 
     ExperimentPlan plan;
     plan.name = name_;
-    plan.cells.reserve(size());
-    // The full cross-product is 19 axes deep; index-odometer enumeration
-    // replaces the nested-loop pyramid while keeping the documented
-    // workload-major order (rightmost axis spins fastest).
-    const std::size_t extents[] = {
-        workloads_.size(), densities.size(), sa1s.size(),     clusters.size(),
-        posts.size(),      spans.size(),     noises.size(),   clips.size(),
-        endurances.size(), hots.size(),      arrivals.size(), detects.size(),
-        spares.size(),     tols.size(),      parts.size(),    pcounts.size(),
-        prunes.size(),     schemes_.size(),  seeds_.size()};
-    constexpr std::size_t kAxes = sizeof(extents) / sizeof(extents[0]);
-    std::size_t index[kAxes] = {};
-    for (std::size_t produced = 0; produced < size(); ++produced) {
-        CellSpec cell;
-        cell.workload = workloads_[index[0]];
-        cell.scheme = schemes_[index[17]];
-        cell.faults = scenario_;
-        cell.faults.density = densities[index[1]];
-        cell.faults.sa1_fraction = sa1s[index[2]];
-        cell.faults.cluster_shape = clusters[index[3]];
-        cell.faults.post_total_density = posts[index[4]];
-        cell.faults.post_epochs = spans[index[5]];
-        cell.faults.read_noise_sigma = noises[index[6]];
-        cell.faults.wear.endurance_mean_writes = endurances[index[8]];
-        cell.faults.wear.hot_spot_fraction = hots[index[9]];
-        cell.faults.arrival_period_batches = arrivals[index[10]];
-        if (scenario_.post_sa1_follows_pre)
-            cell.faults.post_sa1_fraction = sa1s[index[2]];
-        cell.hardware = hardware_;
-        cell.hardware.clip_threshold = clips[index[7]];
-        cell.hardware.online.detect_period_batches = detects[index[11]];
-        cell.hardware.online.spare_columns = spares[index[12]];
-        cell.hardware.online.readback_tolerance = tols[index[13]];
-        cell.partitioner = parts[index[14]];
-        cell.partition_count = pcounts[index[15]];
-        cell.hardware.prune_fraction = prunes[index[16]];
-        cell.mode = mode_;
-        cell.record_curve = record_curve_;
-        cell.epochs = epochs_;
-        cell.seed = seeds_[index[18]];
-        if (seed_policy_ == SeedPolicy::kDerived) {
-            CellSpec coords = cell;  // key() sans seed
-            coords.seed = 0;
-            cell.seed = splitmix64(seeds_[index[18]] ^ fnv1a(coords.key()));
-        }
-        plan.cells.push_back(std::move(cell));
-        for (std::size_t axis = kAxes; axis-- > 0;) {
-            if (++index[axis] < extents[axis]) break;
-            index[axis] = 0;
+    const std::size_t cells = size();
+    plan.cells.reserve(cells);
+    // Index-odometer over the slots: the rightmost axis spins fastest, which
+    // keeps the documented workload-major order.
+    std::array<std::size_t, kAxisCount> index{};
+    for (std::size_t produced = 0; produced < cells; ++produced) {
+        CellSpec& cell = plan.cells.emplace_back(base_);
+        for (std::size_t a = 0; a < kAxisCount; ++a)
+            if (!axes_[a].empty()) axes_[a][index[a]](cell);
+        // The wear stream's ratio follows the cell's SA1 fraction, whether
+        // the SA1 axis set it or the scenario template did.
+        if (cell.faults.post_sa1_follows_pre)
+            cell.faults.post_sa1_fraction = cell.faults.sa1_fraction;
+        for (std::size_t a = kAxisCount; a-- > 0;) {
+            if (++index[a] < axes_[a].size()) break;
+            index[a] = 0;
         }
     }
     return plan;

@@ -5,7 +5,9 @@
 // loops the benches used to carry. Execution lives in sim/session.hpp.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -21,17 +23,6 @@ enum class CellMode {
     kDeploy,  ///< train on ideal hardware, evaluate on the faulty chip (E4)
 };
 const char* cell_mode_name(CellMode mode);
-
-/// How SweepBuilder assigns per-cell seeds.
-enum class SeedPolicy {
-    /// Every cell uses the base seed verbatim (the paper's figures: one
-    /// common seed so all cells share the same dataset instance).
-    kShared,
-    /// Per-cell seed derived by hashing the base seed with the cell's
-    /// coordinates — decorrelated streams that are stable under plan
-    /// reordering and identical between serial and parallel execution.
-    kDerived,
-};
 
 /// One cell of the evaluation grid. A CellSpec is a pure value: running the
 /// same spec twice (on any thread) produces bit-identical results, which is
@@ -83,28 +74,29 @@ struct ExperimentPlan {
     bool empty() const { return cells.empty(); }
 };
 
-/// Cross-product builder over the evaluation axes. Unset axes default to a
-/// single element taken from the scenario / spec templates, so a builder
-/// with only a workload and a scheme yields exactly one cell.
+/// Cross-product builder over the evaluation axes. Each axis setter replaces
+/// that axis's value list (the workload setters append instead); an unset
+/// axis keeps the scenario / hardware / spec templates' value, so a builder
+/// with only a workload and a scheme yields exactly one cell. Axis values are
+/// validated when set. Knobs no axis covers (clustering, post-deployment
+/// stream, clip threshold, arrival cadence, spare columns, ...) ride on the
+/// `.scenario()` / `.hardware()` templates.
 ///
 /// Enumeration order is deterministic: workload-major, then density, then
-/// SA1 fraction, then cluster shape, then post-deployment density, then
-/// post-deployment epoch span, then read-noise sigma, then clip threshold,
-/// then write-endurance mean, then hot-spot fraction, then arrival period,
-/// then detect period, then spare columns, then readback tolerance, then
-/// partitioner, then partition count, then prune fraction, then scheme,
-/// then seed — the row/column order the paper's tables use.
+/// SA1 fraction, then read-noise sigma, then write-endurance mean, then
+/// hot-spot fraction, then detect period, then partitioner, then partition
+/// count, then prune fraction, then scheme, then seed — the row/column order
+/// the paper's tables use.
 class SweepBuilder {
 public:
     explicit SweepBuilder(std::string name);
 
     SweepBuilder& workload(const WorkloadSpec& w);
     SweepBuilder& workloads(const std::vector<WorkloadSpec>& w);
-    /// Model-family axes: append every workload registered by the named
-    /// family (nn/model_family.hpp), so `.model_families({"gnn",
-    /// "transformer"})` sweeps the union of both families' workloads.
-    /// Unknown names fail immediately, listing the registered families.
-    SweepBuilder& model_family(const std::string& name);
+    /// Appends every workload registered by each named family
+    /// (nn/model_family.hpp), so `.model_families({"gnn", "transformer"})`
+    /// sweeps the union of both families' workloads. Unknown names fail
+    /// immediately, listing the registered families.
     SweepBuilder& model_families(const std::vector<std::string>& names);
     SweepBuilder& scheme(Scheme s);
     SweepBuilder& schemes(const std::vector<Scheme>& s);
@@ -112,80 +104,41 @@ public:
     SweepBuilder& densities(const std::vector<double>& d);
     SweepBuilder& sa1_fraction(double f);
     SweepBuilder& sa1_fractions(const std::vector<double>& f);
-    /// Gamma–Poisson clustering shape of the fault centres (<= 0 = no
-    /// clustering). Unset: the scenario template's cluster_shape.
-    SweepBuilder& cluster_shape(double shape);
-    SweepBuilder& cluster_shapes(const std::vector<double>& shapes);
-    /// Post-deployment total added density axis (Fig. 6; 0 = no wear
-    /// stream for that row). Unset: the template's post_total_density.
-    SweepBuilder& post_density(double d);
-    SweepBuilder& post_densities(const std::vector<double>& d);
-    /// Epoch boundaries the post-deployment arrival spreads over (0 = the
-    /// full training run). Unset: the template's post_epochs.
-    SweepBuilder& post_epoch_span(std::size_t epochs);
-    SweepBuilder& post_epoch_spans(const std::vector<std::size_t>& epochs);
-    /// Multiplicative read-noise sigma axis (extension E3). Unset: the
-    /// scenario template's read_noise_sigma.
-    SweepBuilder& noise_sigma(double sigma);
+    /// Multiplicative read-noise sigma axis (extension E3).
     SweepBuilder& noise_sigmas(const std::vector<double>& sigmas);
-    /// Clipping threshold tau axis (paper §IV-B ablations). Unset: the
-    /// hardware template's clip_threshold.
-    SweepBuilder& clip_threshold(float tau);
-    SweepBuilder& clip_thresholds(const std::vector<float>& taus);
     /// Write-endurance mean axis (live wear; 0 = wear disabled for that
-    /// row). Unset: the scenario template's wear.endurance_mean_writes.
-    /// Shape / severity / step charge come from the template's wear block.
-    SweepBuilder& endurance_mean(double writes);
+    /// row). Shape / severity / step charge come from the template's wear
+    /// block.
     SweepBuilder& endurance_means(const std::vector<double>& writes);
-    /// Endurance hot-spot fraction axis. Unset: the template's
-    /// wear.hot_spot_fraction.
-    SweepBuilder& hot_spot_fraction(double fraction);
+    /// Endurance hot-spot fraction axis.
     SweepBuilder& hot_spot_fractions(const std::vector<double>& fractions);
-    /// Mid-epoch arrival cadence axis (0 = epoch boundaries only). Unset:
-    /// the template's arrival_period_batches.
-    SweepBuilder& arrival_period(std::size_t batches);
-    SweepBuilder& arrival_periods(const std::vector<std::size_t>& batches);
     /// Online detection cadence axis in training steps (0 = online policy
     /// disabled for that row). Only the online schemes consult it — other
     /// schemes' cell keys normalise the policy away, so shared rows dedupe.
-    /// Unset: the hardware template's online.detect_period_batches.
-    SweepBuilder& detect_period(std::size_t steps);
     SweepBuilder& detect_periods(const std::vector<std::size_t>& steps);
-    /// Per-crossbar spare-column budget axis of the online correction
-    /// policy. Unset: the hardware template's online.spare_columns.
-    SweepBuilder& spare_columns(std::size_t columns);
-    SweepBuilder& spare_columns(const std::vector<std::size_t>& columns);
-    /// Readback signature-error escalation threshold axis. Unset: the
-    /// hardware template's online.readback_tolerance.
-    SweepBuilder& readback_tolerance(double tolerance);
-    SweepBuilder& readback_tolerances(const std::vector<double>& tolerances);
-    /// Cluster-partitioner axis by registry name ("" = workload default).
-    /// Names are validated against registered_partitioners() at build time.
-    SweepBuilder& partitioner(const std::string& name);
+    /// Cluster-partitioner axis by registry name ("" = workload default),
+    /// checked against registered_partitioners().
     SweepBuilder& partitioners(const std::vector<std::string>& names);
     /// Cluster-partition count axis (0 = workload default).
-    SweepBuilder& partition_count(int k);
     SweepBuilder& partition_counts(const std::vector<int>& k);
     /// Significance-pruning axis: fraction of smallest-|w| weights per
     /// matrix forced to zero on the crossbars, which relaxes the fault
     /// matching objective (faults under pruned cells are harmless — see
     /// HardwareOverrides::prune_fraction). 0 = no pruning; key-inert at 0.
-    SweepBuilder& prune_fraction(double fraction);
     SweepBuilder& prune_fractions(const std::vector<double>& fractions);
     SweepBuilder& seed(std::uint64_t s);
     SweepBuilder& seeds(const std::vector<std::uint64_t>& s);
 
-    /// Scenario template: density / SA1 axes overwrite its corresponding
-    /// fields per cell; everything else (post-deployment arrival, phase
-    /// restriction, noise, clustering) is copied through. While the template
-    /// has post_sa1_follows_pre set (the default), the SA1 axis also mirrors
-    /// into the wear stream's ratio.
+    /// Scenario template: the fault axes overwrite their fields per cell;
+    /// everything else (post-deployment arrival, phase restriction,
+    /// clustering, wear shape) is copied through. While the template has
+    /// post_sa1_follows_pre set (the default), every cell's wear-stream
+    /// ratio mirrors its SA1 fraction, swept or not.
     SweepBuilder& scenario(const FaultScenario& base);
     SweepBuilder& hardware(const HardwareOverrides& hw);
     SweepBuilder& mode(CellMode m);
     SweepBuilder& record_curve(bool on);
     SweepBuilder& epochs(std::size_t e);
-    SweepBuilder& seed_policy(SeedPolicy p);
 
     /// Number of cells build() will produce.
     std::size_t size() const;
@@ -193,32 +146,24 @@ public:
     ExperimentPlan build() const;
 
 private:
+    /// Axis slots in enumeration order (the last one spins fastest).
+    enum Axis {
+        kWorkload, kDensity, kSa1, kNoise, kEndurance, kHotSpot, kDetectPeriod,
+        kPartitioner, kPartitionCount, kPrune, kScheme, kSeed, kAxisCount
+    };
+    using Setter = std::function<void(CellSpec&)>;
+
+    /// Replaces `slot` with one setter per value; `check(v)` returns "" for
+    /// a valid value, else what is wrong with it.
+    template <class T, class Check, class Set>
+    SweepBuilder& axis(Axis slot, const std::vector<T>& values, Check check,
+                       Set set);
+
     std::string name_;
-    std::vector<WorkloadSpec> workloads_;
-    std::vector<Scheme> schemes_{Scheme::kFaultFree};
-    std::optional<std::vector<double>> densities_;
-    std::optional<std::vector<double>> sa1_fractions_;
-    std::optional<std::vector<double>> cluster_shapes_;
-    std::optional<std::vector<double>> post_densities_;
-    std::optional<std::vector<std::size_t>> post_epoch_spans_;
-    std::optional<std::vector<double>> noise_sigmas_;
-    std::optional<std::vector<float>> clip_thresholds_;
-    std::optional<std::vector<double>> endurance_means_;
-    std::optional<std::vector<double>> hot_spot_fractions_;
-    std::optional<std::vector<std::size_t>> arrival_periods_;
-    std::optional<std::vector<std::size_t>> detect_periods_;
-    std::optional<std::vector<std::size_t>> spare_columns_;
-    std::optional<std::vector<double>> readback_tolerances_;
-    std::optional<std::vector<std::string>> partitioners_;
-    std::optional<std::vector<int>> partition_counts_;
-    std::optional<std::vector<double>> prune_fractions_;
-    std::vector<std::uint64_t> seeds_{1};
-    FaultScenario scenario_;
-    HardwareOverrides hardware_;
-    CellMode mode_ = CellMode::kTrain;
-    bool record_curve_ = false;
-    std::optional<std::size_t> epochs_;
-    SeedPolicy seed_policy_ = SeedPolicy::kShared;
+    std::array<std::vector<Setter>, kAxisCount> axes_;
+    /// Template cell every built cell starts from (scenario, hardware,
+    /// mode, record_curve and epochs).
+    CellSpec base_;
 };
 
 }  // namespace fare

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
 
@@ -13,13 +14,18 @@ namespace fare {
 
 /// The paper trains 100 epochs; our scaled datasets converge well before 40,
 /// which keeps full figure sweeps in CPU-minutes. FARE_EPOCHS overrides
-/// (e.g. FARE_EPOCHS=100).
+/// (e.g. FARE_EPOCHS=100) and must be a positive integer: the value feeds
+/// every unpinned cell's key, so a typo must not silently pick a budget.
 std::size_t default_experiment_epochs() {
-    if (const char* env = std::getenv("FARE_EPOCHS")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v > 0) return static_cast<std::size_t>(v);
-    }
-    return 40;
+    const char* env = std::getenv("FARE_EPOCHS");
+    if (!env) return 40;
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(env, &end, 10);
+    if (end == env || *end != '\0' || errno == ERANGE || v <= 0)
+        throw InvalidArgument(std::string("FARE_EPOCHS='") + env +
+                              "' is not a positive integer");
+    return static_cast<std::size_t>(v);
 }
 
 std::string WorkloadSpec::model_name() const {

@@ -33,8 +33,7 @@ std::vector<std::string> cell_row(const CellResult& r) {
 
 /// Group key for seed-replicate aggregation: the cell's canonical key with
 /// the seed axis (dataset seed and any explicit hardware seed) zeroed out,
-/// so replicates of one coordinate collapse onto one row — including seeds
-/// derived per cell by SeedPolicy::kDerived.
+/// so replicates of one coordinate collapse onto one row.
 std::string seedless_coordinate_key(const CellSpec& spec) {
     CellSpec coords = spec;
     coords.seed = 0;

@@ -1,12 +1,12 @@
 // Unit tests for the declarative experiment API: FaultScenario lowering,
-// SweepBuilder cross-product enumeration and ordering, per-cell seed
-// derivation, and the canonical memoization key.
+// SweepBuilder cross-product enumeration and ordering, the canonical
+// memoization key, and the pinned cells of every built-in plan.
 #include <gtest/gtest.h>
 
-#include <set>
-
 #include "common/error.hpp"
+#include "sim/builtin_plans.hpp"
 #include "sim/plan.hpp"
+#include "sim/serialization.hpp"
 
 namespace fare {
 namespace {
@@ -183,28 +183,24 @@ TEST(SweepBuilderTest, WearAxes) {
             .scenario(scenario)
             .endurance_means({1e4, 2e4})
             .hot_spot_fractions({0.0, 0.25})
-            .arrival_periods({0, 2})
             .schemes({Scheme::kFaultUnaware, Scheme::kFARe})
             .build();
-    EXPECT_EQ(plan.size(), 2u * 2 * 2 * 2);
+    EXPECT_EQ(plan.size(), 2u * 2 * 2);
 
-    // Order: endurance-major, then hot-spot, then arrival, then scheme.
+    // Order: endurance-major, then hot-spot, then scheme.
     EXPECT_DOUBLE_EQ(plan.cells[0].faults.wear.endurance_mean_writes, 1e4);
     EXPECT_DOUBLE_EQ(plan.cells[0].faults.wear.hot_spot_fraction, 0.0);
-    EXPECT_EQ(plan.cells[0].faults.arrival_period_batches, 0u);
     EXPECT_EQ(plan.cells[1].scheme, Scheme::kFARe);
-    EXPECT_EQ(plan.cells[2].faults.arrival_period_batches, 2u);
-    EXPECT_DOUBLE_EQ(plan.cells[4].faults.wear.hot_spot_fraction, 0.25);
-    EXPECT_DOUBLE_EQ(plan.cells[8].faults.wear.endurance_mean_writes, 2e4);
+    EXPECT_DOUBLE_EQ(plan.cells[2].faults.wear.hot_spot_fraction, 0.25);
+    EXPECT_DOUBLE_EQ(plan.cells[4].faults.wear.endurance_mean_writes, 2e4);
 
     // Template fields ride along on every cell.
     EXPECT_DOUBLE_EQ(plan.cells[5].faults.wear.weibull_shape, 3.0);
     EXPECT_EQ(plan.cells[5].faults.wear.writes_per_step, 500u);
 
     // Distinct coordinates produce distinct keys (different cached cells).
-    EXPECT_NE(plan.cells[0].key(), plan.cells[2].key());  // arrival differs
-    EXPECT_NE(plan.cells[0].key(), plan.cells[4].key());  // hot-spot differs
-    EXPECT_NE(plan.cells[0].key(), plan.cells[8].key());  // endurance differs
+    EXPECT_NE(plan.cells[0].key(), plan.cells[2].key());  // hot-spot differs
+    EXPECT_NE(plan.cells[0].key(), plan.cells[4].key());  // endurance differs
 
     // Unset wear axes keep the template's values.
     const ExperimentPlan defaults =
@@ -229,28 +225,24 @@ TEST(SweepBuilderTest, NoiseAndClipAxes) {
             .workload(w)
             .scenario(FaultScenario::pre_deployment(0.03, 0.5))
             .noise_sigmas({0.0, 0.02, 0.05})
-            .clip_thresholds({0.5f, 1.0f})
             .schemes({Scheme::kFaultUnaware, Scheme::kFARe})
             .build();
-    EXPECT_EQ(plan.size(), 3u * 2 * 2);
+    EXPECT_EQ(plan.size(), 3u * 2);
 
-    // Order: noise-major, then clip, then scheme — and the unset density /
-    // SA1 axes collapse to the scenario template.
+    // Order: noise-major, then scheme — and the unset density / SA1 axes
+    // collapse to the scenario template.
     EXPECT_DOUBLE_EQ(plan.cells[0].faults.read_noise_sigma, 0.0);
-    EXPECT_FLOAT_EQ(plan.cells[0].hardware.clip_threshold, 0.5f);
     EXPECT_EQ(plan.cells[0].scheme, Scheme::kFaultUnaware);
     EXPECT_EQ(plan.cells[1].scheme, Scheme::kFARe);
-    EXPECT_FLOAT_EQ(plan.cells[2].hardware.clip_threshold, 1.0f);
-    EXPECT_DOUBLE_EQ(plan.cells[4].faults.read_noise_sigma, 0.02);
+    EXPECT_DOUBLE_EQ(plan.cells[2].faults.read_noise_sigma, 0.02);
     EXPECT_DOUBLE_EQ(plan.cells[0].faults.density, 0.03);
     EXPECT_DOUBLE_EQ(plan.cells[0].faults.sa1_fraction, 0.5);
 
-    // The axes are behaviour-relevant: distinct keys per coordinate (except
+    // The axis is behaviour-relevant: distinct keys per coordinate (except
     // fault-free cells, which normalise the chip away entirely).
-    EXPECT_NE(plan.cells[1].key(), plan.cells[3].key());  // clip differs
-    EXPECT_NE(plan.cells[1].key(), plan.cells[5].key());  // noise differs
+    EXPECT_NE(plan.cells[1].key(), plan.cells[3].key());  // noise differs
 
-    // Unset axes keep the template's values.
+    // Unset axes and the clip threshold keep the templates' values.
     FaultScenario noisy = FaultScenario::pre_deployment(0.03, 0.5);
     noisy.with_read_noise(0.07);
     HardwareOverrides hw;
@@ -268,71 +260,21 @@ TEST(SweepBuilderTest, NoiseAndClipAxes) {
     EXPECT_THROW(
         SweepBuilder("bad").workload(w).noise_sigmas({-0.1}).build(),
         InvalidArgument);
-    EXPECT_THROW(
-        SweepBuilder("bad").workload(w).clip_thresholds({0.0f}).build(),
-        InvalidArgument);
 }
 
-TEST(SweepBuilderTest, ClusterAndPostDeploymentAxes) {
-    const WorkloadSpec w = find_workload("PPI", GnnKind::kGCN);
-    const ExperimentPlan plan =
-        SweepBuilder("wear_shapes")
-            .workload(w)
-            .density(0.03)
-            .sa1_fraction(0.5)
-            .cluster_shapes({0.0, 1.5})
-            .post_densities({0.0, 0.01})
-            .post_epoch_spans({0, 10})
-            .schemes({Scheme::kFaultUnaware, Scheme::kFARe})
-            .build();
-    EXPECT_EQ(plan.size(), 2u * 2 * 2 * 2);
-
-    // Order: cluster-major, then post density, then span, then scheme.
-    EXPECT_DOUBLE_EQ(plan.cells[0].faults.cluster_shape, 0.0);
-    EXPECT_DOUBLE_EQ(plan.cells[0].faults.post_total_density, 0.0);
-    EXPECT_EQ(plan.cells[0].faults.post_epochs, 0u);
-    EXPECT_EQ(plan.cells[1].scheme, Scheme::kFARe);
-    EXPECT_EQ(plan.cells[2].faults.post_epochs, 10u);
-    EXPECT_DOUBLE_EQ(plan.cells[4].faults.post_total_density, 0.01);
-    EXPECT_DOUBLE_EQ(plan.cells[8].faults.cluster_shape, 1.5);
-
-    // Behaviour-relevant coordinates get distinct keys; the epoch span of a
-    // disabled wear stream (post density 0) is inert and normalises away.
-    EXPECT_NE(plan.cells[0].key(), plan.cells[8].key());   // cluster differs
-    EXPECT_NE(plan.cells[4].key(), plan.cells[6].key());   // span differs
-    EXPECT_NE(plan.cells[0].key(), plan.cells[4].key());   // post differs
-    EXPECT_EQ(plan.cells[0].key(), plan.cells[2].key());   // inert span
-
-    // The SA1 axis still mirrors into the wear stream alongside the new
-    // axes (post_sa1_follows_pre default).
-    const ExperimentPlan mirrored = SweepBuilder("mirror")
-                                        .workload(w)
-                                        .sa1_fractions({0.1, 0.9})
-                                        .post_density(0.01)
-                                        .scheme(Scheme::kFARe)
-                                        .build();
-    ASSERT_EQ(mirrored.size(), 2u);
-    EXPECT_DOUBLE_EQ(mirrored.cells[1].faults.post_sa1_fraction, 0.9);
-
-    // Unset axes keep the template's values (fig6's old scenario-template
-    // spelling and the new axis spelling are cell-identical).
-    FaultScenario wear;
-    wear.with_post_deployment(0.01);
-    const ExperimentPlan via_template =
-        SweepBuilder("fig6ish").workload(w).scenario(wear).scheme(
-            Scheme::kFARe).build();
-    const ExperimentPlan via_axis = SweepBuilder("fig6ish")
-                                        .workload(w)
-                                        .post_density(0.01)
-                                        .post_epoch_span(0)
-                                        .scheme(Scheme::kFARe)
-                                        .build();
-    ASSERT_EQ(via_template.size(), via_axis.size());
-    EXPECT_EQ(via_template.cells[0].key(), via_axis.cells[0].key());
-
-    EXPECT_THROW(
-        SweepBuilder("bad").workload(w).post_densities({1.5}).build(),
-        InvalidArgument);
+TEST(SweepBuilderTest, Sa1MirrorsIntoWearStreamWithoutAnSa1Axis) {
+    // While post_sa1_follows_pre is set, every cell's wear-stream ratio is
+    // its SA1 fraction — also when the SA1 fraction comes from the template.
+    FaultScenario scenario = FaultScenario::pre_deployment(0.03, 0.5);
+    scenario.post_sa1_fraction = 0.1;
+    scenario.post_sa1_follows_pre = true;
+    const ExperimentPlan plan = SweepBuilder("mirror")
+                                    .workload(find_workload("PPI", GnnKind::kGCN))
+                                    .scenario(scenario)
+                                    .scheme(Scheme::kFARe)
+                                    .build();
+    ASSERT_EQ(plan.size(), 1u);
+    EXPECT_DOUBLE_EQ(plan.cells[0].faults.post_sa1_fraction, 0.5);
 }
 
 TEST(SweepBuilderTest, RejectsOutOfRangeAxisValues) {
@@ -343,6 +285,11 @@ TEST(SweepBuilderTest, RejectsOutOfRangeAxisValues) {
     EXPECT_THROW(
         SweepBuilder("typo").workload(w).sa1_fractions({-0.1}).build(),
         InvalidArgument);
+    // An empty list is a typo too, not "use the template value".
+    EXPECT_THROW(SweepBuilder("typo").workload(w).densities({}).build(),
+                 InvalidArgument);
+    EXPECT_THROW(SweepBuilder("typo").workload(w).schemes({}).build(),
+                 InvalidArgument);
 }
 
 TEST(SweepBuilderTest, DefaultsAndTemplate) {
@@ -355,27 +302,6 @@ TEST(SweepBuilderTest, DefaultsAndTemplate) {
     EXPECT_EQ(plan.cells[0].scheme, Scheme::kFaultFree);
     EXPECT_DOUBLE_EQ(plan.cells[0].faults.post_total_density, 0.01);
     EXPECT_THROW(SweepBuilder("empty").build(), InvalidArgument);
-}
-
-TEST(SweepBuilderTest, DerivedSeedsAreStableAndDistinct) {
-    const WorkloadSpec w = find_workload("PPI", GnnKind::kGCN);
-    const auto build = [&] {
-        return SweepBuilder("seeds")
-            .workload(w)
-            .densities({0.01, 0.03})
-            .schemes({Scheme::kFaultUnaware, Scheme::kFARe})
-            .seed(99)
-            .seed_policy(SeedPolicy::kDerived)
-            .build();
-    };
-    const ExperimentPlan a = build();
-    const ExperimentPlan b = build();
-    std::set<std::uint64_t> seeds;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a.cells[i].seed, b.cells[i].seed);  // reproducible
-        seeds.insert(a.cells[i].seed);
-    }
-    EXPECT_EQ(seeds.size(), a.size());  // decorrelated per cell
 }
 
 TEST(CellSpecTest, KeyNormalizesFaultFree) {
@@ -516,6 +442,46 @@ TEST(CellSpecTest, PartitionCountScalesBatchGrouping) {
     EXPECT_EQ(spec.train_config().partitions_per_batch, 8);
     spec.partition_count = 40;
     EXPECT_EQ(spec.train_config().partitions_per_batch, 4);
+}
+
+/// 64-bit FNV-1a over `s`, continuing from `h`.
+std::uint64_t fnv1a(const std::string& s, std::uint64_t h) {
+    for (const char c : s) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+TEST(BuiltinPlansTest, CellSpecsArePinned) {
+    // Every built-in plan's cell count and one digest over its serialized
+    // cell specs in plan order. A change to any cell, or to the order, fails
+    // here without training anything; re-record only for a deliberate plan
+    // change.
+    struct Pin {
+        const char* plan;
+        std::size_t cells;
+        std::uint64_t digest;
+    };
+    const Pin pins[] = {
+        {"smoke", 6, 0x44317202868433ceull},
+        {"seed_stats", 6, 0x7d4202211cad0ea1ull},
+        {"read_noise", 8, 0x6c360366244b5753ull},
+        {"wear_arrival", 12, 0xf868ef3df667dc8full},
+        {"online_tolerance", 8, 0x8ee1921c61ddc1ffull},
+        {"partition_sweep", 12, 0x171a3957e21c6345ull},
+        {"transformer_sweep", 12, 0x71a1295fc726b1c3ull},
+        {"fig5", 180, 0x02ba823860253051ull},
+    };
+    ASSERT_EQ(builtin_plans().size(), std::size(pins));
+    for (const Pin& pin : pins) {
+        const ExperimentPlan plan = find_builtin_plan(pin.plan);
+        EXPECT_EQ(plan.size(), pin.cells) << pin.plan;
+        std::uint64_t digest = 1469598103934665603ull;
+        for (const CellSpec& cell : plan.cells)
+            digest = fnv1a(cell_spec_to_json(cell) + '\n', digest);
+        EXPECT_EQ(digest, pin.digest) << pin.plan;
+    }
 }
 
 }  // namespace

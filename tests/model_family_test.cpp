@@ -115,7 +115,7 @@ TEST(ModelFamilyTest, SweepBuilderModelFamilyAxis) {
             return c.workload.family == "transformer";
         });
     EXPECT_TRUE(has_transformer);
-    EXPECT_THROW(SweepBuilder("bad").model_family("cnn"), InvalidArgument);
+    EXPECT_THROW(SweepBuilder("bad").model_families({"cnn"}), InvalidArgument);
 }
 
 TEST(ModelFamilyTest, SweepBuilderPruneAxis) {
@@ -134,7 +134,7 @@ TEST(ModelFamilyTest, SweepBuilderPruneAxis) {
     EXPECT_NE(plan.cells[0].key(), plan.cells[1].key());
     EXPECT_THROW(SweepBuilder("bad")
                      .workload(find_workload("PPI", GnnKind::kGCN))
-                     .prune_fraction(1.0)
+                     .prune_fractions({1.0})
                      .schemes({Scheme::kFARe})
                      .build(),
                  InvalidArgument);

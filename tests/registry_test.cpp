@@ -45,6 +45,11 @@ TEST(RegistryTest, EpochsOverridableByEnv) {
     setenv("FARE_EPOCHS", "7", 1);
     const TrainConfig tc = find_workload("PPI", GnnKind::kGCN).train_config(1);
     EXPECT_EQ(tc.epochs, 7u);
+    // A malformed value fails loudly instead of picking a budget silently.
+    for (const char* bad : {"abc", "0", "12x"}) {
+        setenv("FARE_EPOCHS", bad, 1);
+        EXPECT_THROW(default_experiment_epochs(), InvalidArgument) << bad;
+    }
     unsetenv("FARE_EPOCHS");
 }
 
