@@ -27,6 +27,7 @@ TimingConfig timing_config_for(const FaultyHardwareConfig& config) {
 /// the weights — identical across threads, workers and reruns.
 std::vector<std::uint8_t> significance_prune_mask(const Matrix& w,
                                                   double fraction) {
+    FARE_CHECK(fraction >= 0.0 && fraction < 1.0, "prune fraction outside [0,1)");
     const std::size_t total = w.size();
     const auto k = static_cast<std::size_t>(fraction * static_cast<double>(total));
     std::vector<std::uint8_t> mask(total, 0);

@@ -92,12 +92,56 @@ std::string CellSpec::key() const {
 
 namespace {
 
-/// Value check for axes that accept any value.
+// Value checks: each returns "" for a valid value, else what is wrong with
+// it. The axis setters and the template check share them, so an axis value
+// and a template value fail with the same message.
 constexpr auto kAnyValue = [](const auto&) { return ""; };
+const char* unless(bool ok, const char* complaint) { return ok ? "" : complaint; }
+const char* density_problem(double v) {
+    return unless(v >= 0.0 && v <= 1.0, "fault density outside [0,1]");
+}
+const char* sa1_problem(double v) {
+    return unless(v >= 0.0 && v <= 1.0, "SA1 fraction outside [0,1]");
+}
+const char* noise_problem(double v) {
+    return unless(v >= 0.0, "read-noise sigma must be >= 0");
+}
+const char* endurance_problem(double v) {
+    return unless(v >= 0.0, "endurance mean must be >= 0");
+}
+const char* hot_spot_problem(double v) {
+    return unless(v >= 0.0 && v <= 1.0, "hot-spot fraction outside [0,1]");
+}
+std::string partitioner_problem(const std::string& v) {
+    if (v.empty()) return std::string();
+    const auto found = try_find_partitioner(v);
+    return found.ok() ? std::string() : found.error();
+}
+const char* partition_count_problem(int v) {
+    return unless(v >= 0, "partition count must be >= 0");
+}
+const char* prune_problem(double v) {
+    return unless(v >= 0.0 && v < 1.0, "prune fraction outside [0,1)");
+}
 
-/// Value check for fraction axes: `complaint` unless the value is in [0,1].
-auto in_unit_interval(const char* complaint) {
-    return [complaint](double v) { return v >= 0.0 && v <= 1.0 ? "" : complaint; };
+/// Checks every range-limited value of `cell`, swept or template-only.
+std::string cell_problem(const CellSpec& cell) {
+    const FaultScenario& f = cell.faults;
+    const HardwareOverrides& hw = cell.hardware;
+    for (const char* problem :
+         {density_problem(f.density), sa1_problem(f.sa1_fraction),
+          unless(f.post_total_density >= 0.0 && f.post_total_density <= 1.0,
+                 "post-deployment density outside [0,1]"),
+          noise_problem(f.read_noise_sigma),
+          endurance_problem(f.wear.endurance_mean_writes),
+          hot_spot_problem(f.wear.hot_spot_fraction),
+          unless(hw.clip_threshold > 0.0f, "clip threshold must be > 0"),
+          unless(hw.online.readback_tolerance >= 0.0,
+                 "readback tolerance must be >= 0"),
+          partition_count_problem(cell.partition_count),
+          prune_problem(hw.prune_fraction)})
+        if (*problem) return problem;
+    return partitioner_problem(cell.partitioner);
 }
 
 }  // namespace
@@ -143,29 +187,25 @@ SweepBuilder& SweepBuilder::schemes(const std::vector<Scheme>& s) {
 }
 SweepBuilder& SweepBuilder::density(double d) { return densities({d}); }
 SweepBuilder& SweepBuilder::densities(const std::vector<double>& d) {
-    return axis(kDensity, d, in_unit_interval("fault density outside [0,1]"),
+    return axis(kDensity, d, density_problem,
                 [](CellSpec& cell, double v) { cell.faults.density = v; });
 }
 SweepBuilder& SweepBuilder::sa1_fraction(double f) { return sa1_fractions({f}); }
 SweepBuilder& SweepBuilder::sa1_fractions(const std::vector<double>& f) {
-    return axis(kSa1, f, in_unit_interval("SA1 fraction outside [0,1]"),
+    return axis(kSa1, f, sa1_problem,
                 [](CellSpec& cell, double v) { cell.faults.sa1_fraction = v; });
 }
 SweepBuilder& SweepBuilder::noise_sigmas(const std::vector<double>& sigmas) {
-    return axis(
-        kNoise, sigmas,
-        [](double v) { return v >= 0.0 ? "" : "read-noise sigma must be >= 0"; },
-        [](CellSpec& cell, double v) { cell.faults.read_noise_sigma = v; });
+    return axis(kNoise, sigmas, noise_problem,
+                [](CellSpec& cell, double v) { cell.faults.read_noise_sigma = v; });
 }
 SweepBuilder& SweepBuilder::endurance_means(const std::vector<double>& writes) {
-    return axis(
-        kEndurance, writes,
-        [](double v) { return v >= 0.0 ? "" : "endurance mean must be >= 0"; },
-        [](CellSpec& cell, double v) { cell.faults.wear.endurance_mean_writes = v; });
+    return axis(kEndurance, writes, endurance_problem, [](CellSpec& cell, double v) {
+        cell.faults.wear.endurance_mean_writes = v;
+    });
 }
 SweepBuilder& SweepBuilder::hot_spot_fractions(const std::vector<double>& fractions) {
-    return axis(kHotSpot, fractions,
-                in_unit_interval("hot-spot fraction outside [0,1]"),
+    return axis(kHotSpot, fractions, hot_spot_problem,
                 [](CellSpec& cell, double v) { cell.faults.wear.hot_spot_fraction = v; });
 }
 SweepBuilder& SweepBuilder::detect_periods(const std::vector<std::size_t>& steps) {
@@ -174,28 +214,16 @@ SweepBuilder& SweepBuilder::detect_periods(const std::vector<std::size_t>& steps
     });
 }
 SweepBuilder& SweepBuilder::partitioners(const std::vector<std::string>& names) {
-    return axis(
-        kPartitioner, names,
-        [](const std::string& v) {
-            if (v.empty()) return std::string();
-            const auto found = try_find_partitioner(v);
-            return found.ok() ? std::string() : found.error();
-        },
-        [](CellSpec& cell, const std::string& v) { cell.partitioner = v; });
+    return axis(kPartitioner, names, partitioner_problem,
+                [](CellSpec& cell, const std::string& v) { cell.partitioner = v; });
 }
 SweepBuilder& SweepBuilder::partition_counts(const std::vector<int>& k) {
-    return axis(
-        kPartitionCount, k,
-        [](int v) { return v >= 0 ? "" : "partition count must be >= 0"; },
-        [](CellSpec& cell, int v) { cell.partition_count = v; });
+    return axis(kPartitionCount, k, partition_count_problem,
+                [](CellSpec& cell, int v) { cell.partition_count = v; });
 }
 SweepBuilder& SweepBuilder::prune_fractions(const std::vector<double>& fractions) {
-    return axis(
-        kPrune, fractions,
-        [](double v) {
-            return v >= 0.0 && v < 1.0 ? "" : "prune fraction outside [0,1)";
-        },
-        [](CellSpec& cell, double v) { cell.hardware.prune_fraction = v; });
+    return axis(kPrune, fractions, prune_problem,
+                [](CellSpec& cell, double v) { cell.hardware.prune_fraction = v; });
 }
 SweepBuilder& SweepBuilder::seed(std::uint64_t s) { return seeds({s}); }
 SweepBuilder& SweepBuilder::seeds(const std::vector<std::uint64_t>& s) {
@@ -248,6 +276,13 @@ ExperimentPlan SweepBuilder::build() const {
         // the SA1 axis set it or the scenario template did.
         if (cell.faults.post_sa1_follows_pre)
             cell.faults.post_sa1_fraction = cell.faults.sa1_fraction;
+        // The first cell holds every template value that reaches the plan
+        // (each swept field carries its first, already checked, axis value),
+        // so checking it checks the templates for every cell.
+        if (produced == 0) {
+            const std::string problem = cell_problem(cell);
+            FARE_CHECK(problem.empty(), "sweep '" + name_ + "': " + problem);
+        }
         for (std::size_t a = kAxisCount; a-- > 0;) {
             if (++index[a] < axes_[a].size()) break;
             index[a] = 0;

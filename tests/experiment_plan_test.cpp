@@ -210,12 +210,11 @@ TEST(SweepBuilderTest, WearAxes) {
         defaults.cells[0].faults.wear.endurance_mean_writes,
         scenario.wear.endurance_mean_writes);
 
-    // Axis validation fires at build time.
-    EXPECT_THROW(SweepBuilder("bad").workload(w).endurance_means({-1.0}).build(),
+    // Axis validation fires when the axis is set.
+    EXPECT_THROW(SweepBuilder("bad").workload(w).endurance_means({-1.0}),
                  InvalidArgument);
-    EXPECT_THROW(
-        SweepBuilder("bad").workload(w).hot_spot_fractions({1.5}).build(),
-        InvalidArgument);
+    EXPECT_THROW(SweepBuilder("bad").workload(w).hot_spot_fractions({1.5}),
+                 InvalidArgument);
 }
 
 TEST(SweepBuilderTest, NoiseAndClipAxes) {
@@ -279,17 +278,48 @@ TEST(SweepBuilderTest, Sa1MirrorsIntoWearStreamWithoutAnSa1Axis) {
 
 TEST(SweepBuilderTest, RejectsOutOfRangeAxisValues) {
     const WorkloadSpec w = find_workload("PPI", GnnKind::kGCN);
-    EXPECT_THROW(
-        SweepBuilder("typo").workload(w).densities({0.03, 3.0}).build(),
-        InvalidArgument);
-    EXPECT_THROW(
-        SweepBuilder("typo").workload(w).sa1_fractions({-0.1}).build(),
-        InvalidArgument);
+    // Axis values are checked when the axis is set, before build().
+    EXPECT_THROW(SweepBuilder("typo").workload(w).densities({0.03, 3.0}),
+                 InvalidArgument);
+    EXPECT_THROW(SweepBuilder("typo").workload(w).sa1_fractions({-0.1}),
+                 InvalidArgument);
     // An empty list is a typo too, not "use the template value".
-    EXPECT_THROW(SweepBuilder("typo").workload(w).densities({}).build(),
+    EXPECT_THROW(SweepBuilder("typo").workload(w).densities({}), InvalidArgument);
+    EXPECT_THROW(SweepBuilder("typo").workload(w).schemes({}), InvalidArgument);
+}
+
+TEST(SweepBuilderTest, RejectsOutOfRangeTemplateValues) {
+    const WorkloadSpec w = find_workload("PPI", GnnKind::kGCN);
+    // Template values that reach the cells are checked at build().
+    HardwareOverrides prune;
+    prune.prune_fraction = 1.5;
+    EXPECT_THROW(SweepBuilder("bad").workload(w).hardware(prune).build(),
                  InvalidArgument);
-    EXPECT_THROW(SweepBuilder("typo").workload(w).schemes({}).build(),
+    HardwareOverrides tolerance;
+    tolerance.online.readback_tolerance = -0.1;
+    EXPECT_THROW(SweepBuilder("bad").workload(w).hardware(tolerance).build(),
                  InvalidArgument);
+    HardwareOverrides clip;
+    clip.clip_threshold = 0.0f;
+    EXPECT_THROW(SweepBuilder("bad").workload(w).hardware(clip).build(),
+                 InvalidArgument);
+    FaultScenario density;
+    density.density = 2.0;
+    EXPECT_THROW(SweepBuilder("bad").workload(w).scenario(density).build(),
+                 InvalidArgument);
+    FaultScenario post;
+    post.post_total_density = 1.5;
+    EXPECT_THROW(SweepBuilder("bad").workload(w).scenario(post).build(),
+                 InvalidArgument);
+
+    // A template value an axis overrides on every cell never reaches a cell.
+    const ExperimentPlan plan = SweepBuilder("overridden")
+                                    .workload(w)
+                                    .hardware(prune)
+                                    .prune_fractions({0.0, 0.25})
+                                    .build();
+    ASSERT_EQ(plan.size(), 2u);
+    EXPECT_DOUBLE_EQ(plan.cells[1].hardware.prune_fraction, 0.25);
 }
 
 TEST(SweepBuilderTest, DefaultsAndTemplate) {
