@@ -78,9 +78,10 @@ struct ExperimentPlan {
 /// that axis's value list (the workload setters append instead); an unset
 /// axis keeps the scenario / hardware / spec templates' value, so a builder
 /// with only a workload and a scheme yields exactly one cell. Axis values are
-/// validated when set. Knobs no axis covers (clustering, post-deployment
-/// stream, clip threshold, arrival cadence, spare columns, ...) ride on the
-/// `.scenario()` / `.hardware()` templates.
+/// validated when set, template values that reach the cells at build(). Knobs
+/// no axis covers (clustering, post-deployment stream, clip threshold,
+/// arrival cadence, spare columns, ...) ride on the `.scenario()` /
+/// `.hardware()` templates.
 ///
 /// Enumeration order is deterministic: workload-major, then density, then
 /// SA1 fraction, then read-noise sigma, then write-endurance mean, then
