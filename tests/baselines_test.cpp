@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "fare/scenario.hpp"
 
 namespace fare {
 namespace {
@@ -223,6 +224,110 @@ TEST(FaultyHardwareTest, MappingsCreatedPerBatch) {
                                    random_batch(130, rng)};
     hw.preprocess(batches);
     EXPECT_EQ(hw.batch_mappings().size(), 3u);
+}
+
+
+/// 64-bit FNV-1a over raw bytes.
+struct Fnv1a {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    void bytes(const void* data, std::size_t n) {
+        const auto* p = static_cast<const unsigned char*>(data);
+        for (std::size_t i = 0; i < n; ++i) {
+            h ^= p[i];
+            h *= 0x100000001b3ULL;
+        }
+    }
+    template <typename T>
+    void value(T v) {
+        bytes(&v, sizeof v);
+    }
+};
+
+/// Every path that rebuilds the fault view — bind-time marches, epoch-end
+/// BIST refreshes with FARe re-permutation and NR re-reordering, redundant
+/// column repair, mid-epoch arrivals, soft errors, wear and the online
+/// detection rounds — folded into one digest per (schedule, scheme). The
+/// digests were recorded before the fault-view paths were merged into one;
+/// any change to what a scheme sees, or to what it is charged, moves them.
+TEST(FaultyHardwareTest, RefreshPathsArePinned) {
+    FaultScenario post = FaultScenario::pre_deployment(0.03, 0.5);
+    post.with_post_deployment(0.04);
+    FaultScenario live = FaultScenario::pre_deployment(0.03, 0.5);
+    WearSpec wear;
+    wear.endurance_mean_writes = 50000.0;
+    wear.hot_spot_fraction = 0.25;
+    wear.writes_per_step = 100;
+    live.with_post_deployment(0.02)
+        .with_wear(wear)
+        .with_soft_errors(0.002)
+        .with_arrival_period(2);
+
+    const Scheme schemes[] = {Scheme::kFaultUnaware, Scheme::kNeuronReorder,
+                              Scheme::kClippingOnly,  Scheme::kFARe,
+                              Scheme::kRedundantCols, Scheme::kOnlineFARe,
+                              Scheme::kOnlineNaive};
+    const std::uint64_t expected[2][7] = {
+        {0x0dee955613fb59cfULL, 0xea7bb33cb78098d5ULL, 0x160686d8178053b9ULL,
+         0xeb1b00d57b7c68bcULL, 0x110b9bfddc5076f4ULL, 0x1eee087ebfc1eb0bULL,
+         0x3acc346db66dcfa4ULL},
+        {0xaaf2b7c9f69bc0cdULL, 0xabfeac2b5e0ca944ULL, 0x03fbe7106920fc12ULL,
+         0xe5401f3f2f52929eULL, 0x3854ba6930fa594fULL, 0x35e5ce2641240f74ULL,
+         0x70793637c684b41bULL},
+    };
+    constexpr std::size_t kEpochs = 2, kSteps = 4;
+    const FaultScenario* scenarios[] = {&post, &live};
+    for (std::size_t sc = 0; sc < 2; ++sc) {
+        for (std::size_t k = 0; k < 7; ++k) {
+            const Scheme scheme = schemes[k];
+            HardwareOverrides overrides;
+            if (scheme_is_online(scheme)) overrides.online.detect_period_batches = 2;
+            FaultyHardware hw(scheme, to_hardware_config(*scenarios[sc], overrides,
+                                                         /*seed=*/31, kEpochs));
+            Rng rng(11);
+            auto params = make_params(rng);
+            hw.bind_params(pointers(params));
+            const std::vector<BitMatrix> batches{random_batch(150, rng),
+                                                 random_batch(130, rng)};
+            hw.preprocess(batches);
+
+            Fnv1a digest;
+            auto fold = [&] {
+                for (std::size_t i = 0; i < params.size(); ++i) {
+                    const Matrix eff = hw.effective_weights(i, params[i]);
+                    digest.bytes(eff.flat().data(), eff.flat().size() * sizeof(float));
+                }
+                for (std::size_t b = 0; b < batches.size(); ++b) {
+                    const BitMatrix eff = hw.effective_adjacency(b, batches[b]);
+                    digest.bytes(eff.bits.data(), eff.bits.size());
+                }
+                digest.value(hw.weights_state_version());
+                digest.value(hw.adjacency_state_version());
+                digest.value(hw.bist_scans());
+                digest.value(hw.wear_faults());
+                digest.value(hw.total_mapping_cost());
+                const OnlineToleranceStats st = hw.online_stats();
+                for (const std::uint64_t v :
+                     {st.detection_rounds, st.march_cell_ops, st.readback_checks,
+                      st.faults_detected, st.soft_repaired, st.repair_writes,
+                      st.columns_substituted, st.crossbars_exhausted,
+                      st.latency_steps_sum, st.latency_samples})
+                    digest.value(v);
+                digest.value(st.detect_seconds);
+                digest.value(st.repair_seconds);
+            };
+            fold();
+            for (std::size_t e = 0; e < kEpochs; ++e) {
+                for (std::size_t s = 0; s < kSteps; ++s) {
+                    hw.on_step_end(e, s, kSteps);
+                    fold();
+                }
+                hw.on_epoch_end(e);
+                fold();
+            }
+            EXPECT_EQ(digest.h, expected[sc][k])
+                << "schedule " << sc << ", scheme " << scheme_name(scheme);
+        }
+    }
 }
 
 }  // namespace
