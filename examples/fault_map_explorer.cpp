@@ -37,13 +37,13 @@ int main(int argc, char** argv) {
               << fmt_pct(sa1_fraction, 0) << " of faults, cluster shape "
               << cluster << "\n\n";
 
-    // Describe the chip declaratively, then lower it onto the simulator.
+    // Describe the faults declaratively, then inject them into one Table III
+    // tile, as FaultyHardware does for a one-tile chip.
     FaultScenario scenario = FaultScenario::pre_deployment(density, sa1_fraction);
     scenario.cluster_shape = cluster;
-    const FaultyHardwareConfig chip = to_hardware_config(
-        scenario, HardwareOverrides{}, /*seed=*/1, /*train_epochs=*/100);
-    Accelerator acc(chip.accelerator);
-    acc.inject_pre_deployment_faults(chip.injection);
+    Accelerator acc(AcceleratorConfig{TileSpec{}, HardwareOverrides{}.num_tiles});
+    acc.inject_pre_deployment_faults(FaultInjectionConfig{
+        scenario.density, scenario.sa1_fraction, scenario.cluster_shape, /*seed=*/1});
 
     // BIST scan and detection fidelity.
     const auto truth = acc.true_fault_maps();

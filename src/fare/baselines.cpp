@@ -16,12 +16,6 @@ Matrix IdealQuantizedHardware::effective_weights(std::size_t, const Matrix& w) {
 
 namespace {
 
-TimingConfig timing_config_for(const FaultyHardwareConfig& config) {
-    TimingConfig tc;
-    tc.tile = config.accelerator.tile;
-    return tc;
-}
-
 /// Flattened mask of the bottom `fraction` of weights by |w|. Ties break on
 /// flat index (stable sort), so the mask is a deterministic pure function of
 /// the weights — identical across threads, workers and reruns.
@@ -62,38 +56,51 @@ std::pair<std::size_t, std::size_t> off_tile_counts(const AdjacencyMapping& m,
 
 }  // namespace
 
+FaultyHardwareConfig to_hardware_config(const FaultScenario& scenario,
+                                        const HardwareOverrides& hw,
+                                        std::uint64_t seed,
+                                        std::size_t train_epochs) {
+    FaultyHardwareConfig config{scenario, hw, seed};
+    if (config.faults.post_epochs == 0) config.faults.post_epochs = train_epochs;
+    return config;
+}
+
 FaultyHardware::FaultyHardware(Scheme scheme, const FaultyHardwareConfig& config)
     : scheme_(scheme),
       config_(config),
-      accelerator_(config.accelerator),
-      clipper_(config.clip_threshold),
-      mapper_(MapperConfig{config.accelerator.tile.crossbar_rows,
-                           config.match_weights,
+      accelerator_(AcceleratorConfig{TileSpec{}, config.hw.num_tiles}),
+      clipper_(config.hw.clip_threshold),
+      mapper_(MapperConfig{tile().crossbar_rows, config.hw.match_weights,
                            /*exact_row_matching=*/false,
                            /*enable_crossbar_removal=*/true,
                            /*enable_block_removal=*/true}),
-      online_engine_(config.online),
-      timing_(timing_config_for(config)),
-      wear_rng_(config.injection.seed ^ 0xD15EA5EULL),
-      noise_rng_(config.injection.seed ^ 0x4015EULL) {
+      online_engine_(config.hw.online),
+      wear_rng_(config.seed ^ 0xD15EA5EULL),
+      noise_rng_(config.seed ^ 0x4015EULL) {
+    const FaultScenario& faults = config.faults;
     FARE_CHECK(scheme != Scheme::kFaultFree,
                "use IdealQuantizedHardware for the fault-free scheme");
-    FARE_CHECK(!online() || config.online.enabled(),
+    FARE_CHECK(!online() || config.hw.online.enabled(),
                "online scheme needs an enabled policy "
                "(OnlinePolicySpec.detect_period_batches > 0)");
-    accelerator_.inject_pre_deployment_faults(config.injection);
-    if (config.wear.enabled())
-        wear_model_ = WearModel(accelerator_.num_crossbars(),
-                                config.accelerator.tile.crossbar_rows,
-                                config.accelerator.tile.crossbar_cols,
-                                config.wear, config.post_sa1_fraction,
-                                config.injection.seed ^ 0x3EA4ULL);
+    FARE_CHECK(faults.post_total_density <= 0.0 || faults.post_epochs > 0,
+               "post-deployment faults need post_epochs > 0 "
+               "(to_hardware_config resolves 0 to the training length)");
+    FARE_CHECK(config.hw.spare_column_fraction >= 0.0 &&
+                   config.hw.spare_column_fraction <= 1.0,
+               "spare column fraction outside [0,1]");
+    accelerator_.inject_pre_deployment_faults(FaultInjectionConfig{
+        faults.density, faults.sa1_fraction, faults.cluster_shape, config.seed});
+    if (faults.wear.enabled())
+        wear_model_ = WearModel(accelerator_.num_crossbars(), tile().crossbar_rows,
+                                tile().crossbar_cols, faults.wear,
+                                faults.post_sa1_fraction, config.seed ^ 0x3EA4ULL);
 }
 
 void FaultyHardware::bind_params(const std::vector<Matrix*>& params) {
     params_.clear();
-    const auto xb_rows = config_.accelerator.tile.crossbar_rows;
-    const auto xb_cols = config_.accelerator.tile.crossbar_cols;
+    const auto xb_rows = tile().crossbar_rows;
+    const auto xb_cols = tile().crossbar_cols;
     const std::size_t wpx = static_cast<std::size_t>(xb_cols) / kCellsPerWeight;
     for (const Matrix* p : params) {
         ParamRegion region;
@@ -104,32 +111,42 @@ void FaultyHardware::bind_params(const std::vector<Matrix*>& params) {
         region.range = accelerator_.allocate(grid_r * grid_c);
         params_.push_back(std::move(region));
     }
-    refresh_weight_grids();
-}
-
-void FaultyHardware::refresh_weight_grids() {
     // The hardware-visible fault information comes from BIST scans of the
     // allocated crossbars, exactly as FARe's flow prescribes (§IV-A).
-    const auto xb_rows = config_.accelerator.tile.crossbar_rows;
-    const auto xb_cols = config_.accelerator.tile.crossbar_cols;
+    rebuild_weight_overlays(/*scan=*/true);
+}
+
+FaultMap FaultyHardware::fault_view(std::size_t xb, bool scan) {
+    FaultMap map;
+    if (scan) {
+        map = bist_scan(accelerator_.crossbar(xb)).detected;
+        ++bist_scans_;
+    } else {
+        map = accelerator_.crossbar(xb).fault_map();
+    }
+    if (scheme_ == Scheme::kRedundantCols)
+        map = repair_worst_columns(
+            map, static_cast<std::size_t>(config_.hw.spare_column_fraction *
+                                          tile().crossbar_cols));
+    // Online repair view: faults on substituted columns are routed to spare
+    // columns and disappear.
+    if (online()) map = online_engine_.repaired_map(xb, map);
+    return map;
+}
+
+void FaultyHardware::rebuild_weight_overlays(bool scan) {
+    const auto xb_rows = tile().crossbar_rows;
     for (auto& region : params_) {
         std::vector<FaultMap> maps;
         maps.reserve(region.range.count);
-        for (std::size_t i = 0; i < region.range.count; ++i) {
-            maps.push_back(
-                bist_scan(accelerator_.crossbar(region.range.first + i)).detected);
-            ++bist_scans_;
-            if (scheme_ == Scheme::kRedundantCols)
-                maps.back() = repair_worst_columns(
-                    maps.back(), static_cast<std::size_t>(
-                                     config_.spare_column_fraction * xb_cols));
-        }
+        for (std::size_t i = 0; i < region.range.count; ++i)
+            maps.push_back(fault_view(region.range.first + i, scan));
         // Cover every physical crossbar row (not just the rows the logical
         // matrix occupies): NR exploits the unused rows as relocation targets.
         const std::size_t grid_r = (region.rows + xb_rows - 1) / xb_rows;
         region.grid = WeightFaultGrid(grid_r * xb_rows, region.cols, maps, xb_rows,
-                                      xb_cols);
-        // Identity-placement overlay, recompiled only on these (rare) BIST
+                                      tile().crossbar_cols);
+        // Identity-placement overlay, recompiled only on these (rare)
         // refreshes. NR replaces it with a permuted overlay once it has seen
         // this epoch's weights (the permutation depends on them).
         region.overlay = CompiledFaultOverlay(region.grid, region.rows, region.cols);
@@ -140,23 +157,20 @@ void FaultyHardware::refresh_weight_grids() {
     ++weights_version_;
 }
 
-std::vector<FaultMap> FaultyHardware::build_adjacency_pool_maps() const {
-    std::vector<FaultMap> maps;
-    maps.reserve(adj_range_.count);
-    for (std::size_t i = 0; i < adj_range_.count; ++i) {
-        maps.push_back(accelerator_.crossbar(adj_range_.first + i).fault_map());
-        if (scheme_ == Scheme::kRedundantCols)
-            maps.back() = repair_worst_columns(
-                maps.back(),
-                static_cast<std::size_t>(config_.spare_column_fraction *
-                                         config_.accelerator.tile.crossbar_cols));
-        // Online repair view: faults on substituted columns are routed to
-        // spare columns and disappear from the pool image.
-        if (online())
-            maps.back() =
-                online_engine_.repaired_map(adj_range_.first + i, maps.back());
+void FaultyHardware::refresh(bool scan, bool remap) {
+    rebuild_weight_overlays(scan);
+    for (std::size_t i = 0; i < adj_range_.count; ++i)
+        adj_maps_[i] = fault_view(adj_range_.first + i, /*scan=*/false);
+    if (remap) {
+        for (std::size_t b = 0; b < mappings_.size(); ++b) {
+            if (scheme_ == Scheme::kFARe || scheme_ == Scheme::kOnlineFARe)
+                // Row-only re-permutation on top of the standing assignment Pi.
+                mapper_.repermute(mappings_[b], batch_bits_[b], adj_maps_);
+            else if (scheme_ == Scheme::kNeuronReorder)
+                mappings_[b] = mapper_.map_row_reorder(batch_bits_[b], adj_maps_);
+        }
     }
-    return maps;
+    ++adjacency_version_;
 }
 
 void FaultyHardware::set_batch_partitions(
@@ -167,7 +181,7 @@ void FaultyHardware::set_batch_partitions(
 void FaultyHardware::preprocess(const std::vector<BitMatrix>& batch_adjacency) {
     batch_bits_ = batch_adjacency;
     // Size the streaming adjacency pool for the largest batch.
-    const auto n = static_cast<std::size_t>(config_.accelerator.tile.crossbar_rows);
+    const auto n = static_cast<std::size_t>(tile().crossbar_rows);
     std::size_t max_blocks = 1;
     for (const auto& adj : batch_adjacency) {
         const std::size_t grid = (std::max(adj.rows, adj.cols) + n - 1) / n;
@@ -177,7 +191,7 @@ void FaultyHardware::preprocess(const std::vector<BitMatrix>& batch_adjacency) {
     // block placement gains most of its power from *choosing* crossbars
     // (clustered fault centres leave many crossbars near-clean). FARe prunes
     // the pool to the cleanest candidates before the cost matrix.
-    const std::size_t pool = std::min(config_.max_adjacency_pool,
+    const std::size_t pool = std::min(config_.hw.max_adjacency_pool,
                                       accelerator_.crossbars_available());
     FARE_CHECK(pool >= max_blocks,
                "adjacency pool cannot hold the largest batch's blocks");
@@ -232,13 +246,16 @@ void FaultyHardware::preprocess(const std::vector<BitMatrix>& batch_adjacency) {
         }
     }
 
-    adj_maps_ = build_adjacency_pool_maps();
+    adj_maps_.clear();
+    adj_maps_.reserve(adj_range_.count);
+    for (std::size_t i = 0; i < adj_range_.count; ++i)
+        adj_maps_.push_back(fault_view(adj_range_.first + i, /*scan=*/false));
     mappings_.clear();
     mappings_.reserve(batch_adjacency.size());
     for (std::size_t b = 0; b < batch_adjacency.size(); ++b) {
         const auto& adj = batch_adjacency[b];
         const TilePlacement* placement =
-            config_.partition_aware_mapping && b < placements_.size()
+            config_.hw.partition_aware_mapping && b < placements_.size()
                 ? &placements_[b]
                 : nullptr;
         switch (scheme_) {
@@ -266,8 +283,8 @@ Matrix FaultyHardware::effective_weights(std::size_t idx, const Matrix& w) {
     // and force them back to zero on read-out, masking any fault underneath.
     // A pure function of `w`, so it needs no cache-invalidation plumbing.
     const std::vector<std::uint8_t> pruned =
-        config_.prune_fraction > 0.0
-            ? significance_prune_mask(w, config_.prune_fraction)
+        config_.hw.prune_fraction > 0.0
+            ? significance_prune_mask(w, config_.hw.prune_fraction)
             : std::vector<std::uint8_t>{};
     const Matrix* stored = &w;
     Matrix pruned_w;
@@ -279,7 +296,7 @@ Matrix FaultyHardware::effective_weights(std::size_t idx, const Matrix& w) {
         stored = &pruned_w;
     }
     Matrix out;
-    if (!config_.faults_on_weights) {
+    if (!config_.faults.faults_on_weights) {
         out = quantize_dequantize(*stored);
         if (clip) clipper_.clip_in_place(out);
     } else {
@@ -305,11 +322,11 @@ Matrix FaultyHardware::effective_weights(std::size_t idx, const Matrix& w) {
         for (std::size_t i = 0; i < flat.size(); ++i)
             if (pruned[i]) flat[i] = 0.0f;
     }
-    if (config_.read_noise_sigma > 0.0) {
+    if (config_.faults.read_noise_sigma > 0.0) {
         // Cycle-to-cycle conductance variation: multiplicative Gaussian
         // noise on every read-out value (extension non-ideality).
         for (auto& v : out.flat())
-            v *= 1.0f + static_cast<float>(config_.read_noise_sigma *
+            v *= 1.0f + static_cast<float>(config_.faults.read_noise_sigma *
                                            noise_rng_.next_gaussian());
     }
     return out;
@@ -319,7 +336,7 @@ std::uint64_t FaultyHardware::weights_state_version() const {
     // Read noise makes every read-out unique: hand out a fresh stamp per
     // query so the trainer never reuses a cached corruption pass (this also
     // keeps the noise RNG stream identical to the uncached implementation).
-    if (config_.read_noise_sigma > 0.0) return next_fresh_stamp();
+    if (config_.faults.read_noise_sigma > 0.0) return next_fresh_stamp();
     return weights_version_;
 }
 
@@ -385,61 +402,9 @@ std::vector<std::uint16_t> FaultyHardware::nr_weight_permutation(
 
 BitMatrix FaultyHardware::effective_adjacency(std::size_t batch_idx,
                                               const BitMatrix& ideal) {
-    if (!config_.faults_on_adjacency) return ideal;
+    if (!config_.faults.faults_on_adjacency) return ideal;
     FARE_CHECK(batch_idx < mappings_.size(), "unknown batch index");
     return mapper_.apply(ideal, mappings_[batch_idx], adj_maps_);
-}
-
-void FaultyHardware::refresh_after_arrival() {
-    // BIST refresh of the regions in use (the paper re-enables BIST at every
-    // epoch boundary, ~0.13% time overhead); it also invalidates the cached
-    // NR reorder, so the next batch recomputes it.
-    refresh_weight_grids();
-    adj_maps_ = build_adjacency_pool_maps();
-    if (scheme_ == Scheme::kFARe) {
-        // Row-only re-permutation on top of the standing assignment Pi.
-        for (std::size_t b = 0; b < mappings_.size(); ++b)
-            mapper_.repermute(mappings_[b], batch_bits_[b], adj_maps_);
-    } else if (scheme_ == Scheme::kNeuronReorder) {
-        for (std::size_t b = 0; b < mappings_.size(); ++b) {
-            AdjacencyMapping remapped =
-                mapper_.map_row_reorder(batch_bits_[b], adj_maps_);
-            mappings_[b] = std::move(remapped);
-        }
-    }
-    ++adjacency_version_;
-}
-
-void FaultyHardware::rebuild_weight_overlays_from_truth() {
-    // Online corruption refresh: the overlays mirror the crossbars' *true*
-    // fault state (filtered through the engine's repair view) without a BIST
-    // march — no scan cost, no march wear. Behaviourally BIST is exact here,
-    // so this equals a rescan minus its charges.
-    const auto xb_rows = config_.accelerator.tile.crossbar_rows;
-    const auto xb_cols = config_.accelerator.tile.crossbar_cols;
-    for (auto& region : params_) {
-        std::vector<FaultMap> maps;
-        maps.reserve(region.range.count);
-        for (std::size_t i = 0; i < region.range.count; ++i) {
-            const std::size_t xb = region.range.first + i;
-            maps.push_back(online_engine_.repaired_map(
-                xb, accelerator_.crossbar(xb).fault_map()));
-        }
-        const std::size_t grid_r = (region.rows + xb_rows - 1) / xb_rows;
-        region.grid = WeightFaultGrid(grid_r * xb_rows, region.cols, maps,
-                                      xb_rows, xb_cols);
-        region.overlay =
-            CompiledFaultOverlay(region.grid, region.rows, region.cols);
-    }
-    ++weights_version_;
-}
-
-void FaultyHardware::refresh_corruption_only() {
-    rebuild_weight_overlays_from_truth();
-    adj_maps_ = build_adjacency_pool_maps();
-    // No re-permutation and no mapping update: the new damage stays
-    // un-mitigated until a detection round discovers it.
-    ++adjacency_version_;
 }
 
 void FaultyHardware::run_detection_round() {
@@ -449,15 +414,9 @@ void FaultyHardware::run_detection_round() {
         timing_.march_latency_s(outcome.march_cell_ops) +
             timing_.readback_latency_s(outcome.readback_checks),
         timing_.reprogram_latency_s(outcome.repair_pulses));
-    if (!outcome.state_changed) return;
     // Knowledge refresh: the march already paid the scan cost, so the
-    // mitigation state rebuilds from the repaired truth.
-    rebuild_weight_overlays_from_truth();
-    adj_maps_ = build_adjacency_pool_maps();
-    if (scheme_ == Scheme::kOnlineFARe)
-        for (std::size_t b = 0; b < mappings_.size(); ++b)
-            mapper_.repermute(mappings_[b], batch_bits_[b], adj_maps_);
-    ++adjacency_version_;
+    // mitigation state rebuilds from the repaired exact maps.
+    if (outcome.state_changed) refresh(/*scan=*/false, /*remap=*/true);
 }
 
 std::vector<std::size_t> FaultyHardware::in_use_crossbars() const {
@@ -472,38 +431,38 @@ std::vector<std::size_t> FaultyHardware::in_use_crossbars() const {
 
 std::size_t FaultyHardware::arrival_checkpoint(double uniform_quantum,
                                                bool force_refresh) {
+    const FaultScenario& faults = config_.faults;
     std::size_t arrived = 0;
     std::vector<std::size_t> touched;
     std::vector<std::size_t>* touched_out = online() ? &touched : nullptr;
     if (uniform_quantum > 0.0)
         arrived += accelerator_.inject_post_deployment_faults(
-            uniform_quantum, config_.post_sa1_fraction, wear_rng_, touched_out);
-    if (config_.soft_error_rate > 0.0)
+            uniform_quantum, faults.post_sa1_fraction, wear_rng_, touched_out);
+    if (faults.soft_error_rate > 0.0)
         arrived += accelerator_.inject_soft_faults(
-            config_.soft_error_rate, config_.post_sa1_fraction, wear_rng_,
+            faults.soft_error_rate, faults.post_sa1_fraction, wear_rng_,
             touched_out);
     const std::vector<WornCell> worn = wear_model_.advance(accelerator_);
     arrived += worn.size();
     if (online()) {
         for (const WornCell& cell : worn) touched.push_back(cell.crossbar);
         online_engine_.note_arrivals(global_step_, touched);
-        // Online schemes: corruption becomes visible immediately, but the
-        // mitigation state stays stale until the next detection round.
-        if (arrived > 0 || force_refresh) refresh_corruption_only();
-        return arrived;
     }
-    // Tentpole contract: overlays / stamps invalidate exactly when fault
-    // state actually changed (force_refresh keeps the legacy schedule's
-    // unconditional per-epoch BIST refresh).
-    if (arrived > 0 || force_refresh) refresh_after_arrival();
+    // Overlays and stamps invalidate exactly when fault state actually
+    // changed (force_refresh keeps the legacy schedule's unconditional
+    // per-epoch BIST refresh). Offline schemes rescan and remap, as the
+    // paper re-enables BIST at every epoch boundary (~0.13% time overhead);
+    // online schemes see the corruption at once, unmitigated.
+    if (arrived > 0 || force_refresh) refresh(/*scan=*/!online(), /*remap=*/!online());
     return arrived;
 }
 
 double FaultyHardware::uniform_checkpoint_quantum() const {
-    if (config_.post_total_density <= 0.0) return 0.0;
+    const FaultScenario& faults = config_.faults;
+    if (faults.post_total_density <= 0.0) return 0.0;
     const double per_epoch =
-        config_.post_total_density / static_cast<double>(config_.post_epochs);
-    const std::size_t period = config_.arrival_period_batches;
+        faults.post_total_density / static_cast<double>(faults.post_epochs);
+    const std::size_t period = faults.arrival_period_batches;
     const std::size_t checkpoints =
         1 + (period > 0 ? steps_per_epoch_ / period : 0);
     return per_epoch / static_cast<double>(checkpoints);
@@ -516,7 +475,8 @@ void FaultyHardware::on_step_end(std::size_t epoch, std::size_t step,
     // Endurance accounting: one optimizer step rewrites every weight region
     // and streams the batch's adjacency blocks through the pool — one
     // array-level write per crossbar in use (O(1) each, no cell traffic).
-    const std::uint64_t writes = config_.wear.writes_per_step;
+    const FaultScenario& faults = config_.faults;
+    const std::uint64_t writes = faults.wear.writes_per_step;
     for (const auto& region : params_)
         for (std::size_t i = 0; i < region.range.count; ++i)
             accelerator_.crossbar(region.range.first + i)
@@ -526,9 +486,9 @@ void FaultyHardware::on_step_end(std::size_t epoch, std::size_t step,
 
     ++global_step_;
 
-    const std::size_t period = config_.arrival_period_batches;
-    const bool sources = config_.post_total_density > 0.0 ||
-                         config_.soft_error_rate > 0.0 || wear_model_.enabled();
+    const std::size_t period = faults.arrival_period_batches;
+    const bool sources = faults.post_total_density > 0.0 ||
+                         faults.soft_error_rate > 0.0 || wear_model_.enabled();
     if (period > 0 && (step + 1) % period == 0 && sources)
         arrival_checkpoint(uniform_checkpoint_quantum(),
                            /*force_refresh=*/false);
@@ -537,7 +497,7 @@ void FaultyHardware::on_step_end(std::size_t epoch, std::size_t step,
     // every detect_period_batches global steps, whether or not anything
     // arrived (the march/readback cost is paid regardless — that is the
     // point of the frontier).
-    if (online() && global_step_ % config_.online.detect_period_batches == 0)
+    if (online() && global_step_ % config_.hw.online.detect_period_batches == 0)
         run_detection_round();
 }
 
@@ -567,16 +527,17 @@ void FaultyHardware::on_epoch_end(std::size_t epoch) {
     // time of this epoch's off-home-tile blocks (measured whether or not the
     // mapping was biased — the win shows up as the biased/unbiased delta).
     accumulate_noc_epoch();
-    const bool post_on = config_.post_total_density > 0.0;
+    const FaultScenario& faults = config_.faults;
+    const bool post_on = faults.post_total_density > 0.0;
     const bool wear_on = wear_model_.enabled();
-    const bool soft_on = config_.soft_error_rate > 0.0;
+    const bool soft_on = faults.soft_error_rate > 0.0;
     if (!post_on && !wear_on && !soft_on) return;
     // Legacy schedule (uniform stream only, epoch-boundary arrivals): keep
     // the unconditional per-epoch BIST refresh — bit-compatible with the
     // pre-wear implementation. Every other combination refreshes only when
     // faults actually arrived.
     const bool legacy =
-        post_on && !wear_on && config_.arrival_period_batches == 0;
+        post_on && !wear_on && faults.arrival_period_batches == 0;
     arrival_checkpoint(uniform_checkpoint_quantum(), legacy);
 }
 

@@ -18,9 +18,14 @@
 //                     degradation to remap on spare exhaustion;
 //   online naive    — the online engine alone over naive (identity) mapping.
 //
-// All faulty schemes share one simulated accelerator: faults are injected
-// into its crossbars, weight regions are allocated per model parameter, and
-// an adjacency pool serves the streaming batch blocks.
+// All faulty schemes share one simulated accelerator, built from the cell's
+// own chip description (FaultScenario + HardwareOverrides + seed): faults
+// are injected into its crossbars, weight regions are allocated per model
+// parameter, and an adjacency pool serves the streaming batch blocks. Every
+// scheme sees the crossbars through one fault view: weight regions through
+// BIST marches at bind time and at offline arrivals, everything else
+// (the adjacency pool, online refreshes) through the exact fault maps,
+// filtered by the scheme's column repair.
 #pragma once
 
 #include <memory>
@@ -28,6 +33,7 @@
 
 #include "common/rng.hpp"
 #include "fare/mapper.hpp"
+#include "fare/scenario.hpp"
 #include "fare/weight_clipper.hpp"
 #include "nn/hardware_model.hpp"
 #include "reram/accelerator.hpp"
@@ -39,71 +45,23 @@
 
 namespace fare {
 
+/// The chip one FaultyHardware simulates: the cell's fault scenario and
+/// hardware overrides, plus the seed of its fault injection and arrival
+/// streams. The constructor derives the accelerator (one Table III tile per
+/// `hw.num_tiles`) and the pre-deployment injection from it.
 struct FaultyHardwareConfig {
-    AcceleratorConfig accelerator;
-    FaultInjectionConfig injection;  ///< density, SA1 fraction, seed
-
-    /// Fig. 3 knobs: restrict faults to one computation phase.
-    bool faults_on_weights = true;
-    bool faults_on_adjacency = true;
-
-    /// Clipping threshold tau (paper §IV-B: a constant hyperparameter).
-    /// Tuned once across all workloads; trained GNN weights rarely exceed
-    /// ~0.5, so tau = 1 clamps explosions tightly without touching healthy
-    /// weights.
-    float clip_threshold = 1.0f;
-    RowMatchWeights match_weights;  ///< FARe's SA1-criticality weighting
-
-    /// Post-deployment wear: total added density spread uniformly across
-    /// `post_epochs` epoch boundaries (0 disables).
-    double post_total_density = 0.0;
-    std::size_t post_epochs = 100;
-    double post_sa1_fraction = 0.1;
-
-    /// Endurance-driven wear-out (reram/wear_model.hpp); disabled while
-    /// wear.endurance_mean_writes == 0.
-    WearSpec wear;
-    /// Mid-epoch arrival cadence in training steps (0 = epoch boundaries
-    /// only). See FaultScenario::arrival_period_batches.
-    std::size_t arrival_period_batches = 0;
-
-    /// Optional non-ideality beyond SAFs (extension; paper §II-A mentions
-    /// variation-induced resistance deviations): multiplicative Gaussian
-    /// read noise on every effective weight, sigma relative to the value.
-    double read_noise_sigma = 0.0;
-
-    /// Soft-error arrival: added density of *re-formable* stuck-ats per
-    /// arrival checkpoint (0 disables). Online schemes clear them with
-    /// re-forming pulses; every other scheme sees permanent stuck-ats.
-    double soft_error_rate = 0.0;
-
-    /// Online detection/correction policy (reram/online_tolerance.hpp) —
-    /// consulted only by the online schemes.
-    OnlinePolicySpec online;
-
-    /// Redundant-columns baseline [8]: spare columns per crossbar as a
-    /// fraction of its width (repairs the worst-faulted columns).
-    double spare_column_fraction = 0.15;
-
-    /// Adjacency pool slack: m = blocks + max(2, blocks/2), capped by this.
-    std::size_t max_adjacency_pool = 48;
-
-    /// Partition-aware block placement: bias the FARe outer assignment so a
-    /// batch's adjacency row-blocks prefer crossbars on the home tile of the
-    /// block's majority graph partition (tile traffic follows the cut).
-    /// Default OFF: the legacy FARe mapping is byte-identical while false.
-    /// Off-tile traffic is *measured* regardless of this flag.
-    bool partition_aware_mapping = false;
-
-    /// Significance pruning (model-agnostic mapping relaxation): the bottom
-    /// `prune_fraction` of each parameter matrix by |w| is programmed as
-    /// exact zeros, and read-out forces those positions back to zero — so
-    /// any stuck-at under a pruned cell is masked. NR additionally skips
-    /// pruned positions in its row-mismatch costs, spending its permutation
-    /// budget only on weights that carry signal. 0 disables (legacy
-    /// behaviour, byte-identical).
-    double prune_fraction = 0.0;
+    FaultScenario faults;
+    HardwareOverrides hw;
+    std::uint64_t seed = 1;
 };
+
+/// Pack (scenario, overrides, seed) for make_hardware()/run_scheme().
+/// `train_epochs` resolves a scenario whose post-deployment arrival spans
+/// "the full training run" (post_epochs == 0).
+FaultyHardwareConfig to_hardware_config(const FaultScenario& scenario,
+                                        const HardwareOverrides& hw,
+                                        std::uint64_t seed,
+                                        std::size_t train_epochs);
 
 /// Ideal hardware: weights round-trip the 16-bit fixed-point grid, adjacency
 /// is exact. The fault-free baseline every figure normalises against.
@@ -161,43 +119,42 @@ public:
     double inter_tile_seconds() const { return noc_seconds_; }
 
 private:
-    /// Rescan the weight regions (BIST), rebuild their fault grids and
-    /// recompile the per-region fault overlays. Bumps the weights version:
-    /// anything cached off effective_weights() must recompute.
-    void refresh_weight_grids();
-    /// Rebuild the cached adjacency-pool fault maps (BIST image of the pool).
-    /// Called only when the pool's faults may have changed; every per-batch
-    /// consumer reads the cache instead of re-copying ~pool-size maps.
-    std::vector<FaultMap> build_adjacency_pool_maps() const;
+    /// The fault map a scheme sees for crossbar `xb`. With `scan`, a BIST
+    /// march of the crossbar (counted in bist_scans_; its writes wear the
+    /// cells); without, the crossbar's exact map, uncharged. Then the
+    /// scheme's repair view: redundant columns repair the worst-faulted
+    /// columns, and the online schemes drop faults on substituted columns.
+    FaultMap fault_view(std::size_t xb, bool scan);
+    /// Rebuild every weight region's fault grid and compiled overlay from
+    /// fault_view(). Bumps the weights version and invalidates the cached
+    /// NR permutations: anything cached off effective_weights() recomputes.
+    void rebuild_weight_overlays(bool scan);
+    /// Rebuild everything derived from the crossbar fault maps after an
+    /// arrival or a repair: the weight overlays, then the adjacency-pool
+    /// image (always exact maps). With `remap`, FARe and online FARe
+    /// re-permute rows on their standing block assignment and NR re-runs
+    /// its row reorder. Bumps the adjacency version.
+    void refresh(bool scan, bool remap);
     /// One arrival checkpoint: inject `uniform_quantum` added density of
     /// the uniform post-deployment stream (0 skips it), advance the wear
-    /// model, and — iff any fault actually arrived — rescan/recompile the
-    /// fault state and bump both version stamps. `force_refresh` keeps the
-    /// legacy unconditional per-epoch BIST refresh of the uniform-only
-    /// schedule. Returns the number of arrivals.
+    /// model, and — iff any fault actually arrived — refresh the fault
+    /// state. Offline schemes march and remap; the online schemes see the
+    /// new corruption at once but keep their stale mitigation until the
+    /// next detection round finds it (the detection-latency cost they pay).
+    /// `force_refresh` keeps the legacy unconditional per-epoch BIST
+    /// refresh of the uniform-only schedule. Returns the number of arrivals.
     std::size_t arrival_checkpoint(double uniform_quantum, bool force_refresh);
     /// This checkpoint's share of the uniform post-deployment stream: the
     /// per-epoch quantum split across the epoch's arrival checkpoints.
     double uniform_checkpoint_quantum() const;
-    /// Rebuild everything derived from the crossbar fault maps after an
-    /// arrival: BIST rescan + overlay recompile of the weight regions, the
-    /// adjacency-pool image, and the schemes' re-permutations.
-    void refresh_after_arrival();
     /// True for the schemes driving the online tolerance engine.
     bool online() const { return scheme_is_online(scheme_); }
-    /// Online schemes: refresh *corruption truth only* after an arrival —
-    /// overlays and the adjacency-pool image are rebuilt from the crossbars'
-    /// true maps (filtered through the engine's repair view), with no BIST
-    /// march and no mapping/permutation update. New damage lands un-mitigated
-    /// until the next detection round discovers it: that gap is the
-    /// detection-latency cost the online schemes pay.
-    void refresh_corruption_only();
-    /// Weight-region overlays from the repaired true maps (no march cost).
-    void rebuild_weight_overlays_from_truth();
+    const TileSpec& tile() const { return accelerator_.config().tile; }
     /// One detection round of the online engine: partial march + readback
     /// escalation + targeted repair, costs charged through the timing model;
-    /// mitigation state (overlays, pool image, FARe re-permutation) refreshes
-    /// iff the round changed the effective fault view.
+    /// the march already paid the scan cost, so the mitigation state
+    /// refreshes from exact maps (with remap) iff the round changed the
+    /// effective fault view.
     void run_detection_round();
     /// Flat indices of every crossbar the run actually uses (weight regions
     /// + adjacency pool), ascending.
@@ -234,7 +191,7 @@ private:
         std::size_t rows = 0, cols = 0;
         WeightFaultGrid grid;
         /// Fault grid folded into branchless per-weight masks; recompiled on
-        /// BIST rescan (all schemes) and NR re-permutation, applied per batch.
+        /// every fault-view refresh and NR re-permutation, applied per batch.
         CompiledFaultOverlay overlay;
     };
     std::vector<ParamRegion> params_;
@@ -250,9 +207,9 @@ private:
     std::vector<std::vector<int>> batch_parts_;  // node -> partition hints
     std::vector<TilePlacement> placements_;      // one per batch (may be empty)
     double noc_seconds_ = 0.0;
-    std::vector<FaultMap> adj_maps_;          // cached pool BIST image
+    std::vector<FaultMap> adj_maps_;          // cached pool image (exact maps)
     std::size_t bist_scans_ = 0;
-    std::uint64_t weights_version_ = 0;    // bumped by refresh_weight_grids
+    std::uint64_t weights_version_ = 0;    // bumped by rebuild_weight_overlays
     std::uint64_t adjacency_version_ = 0;  // bumped on preprocess/wear events
 };
 

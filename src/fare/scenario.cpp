@@ -158,34 +158,4 @@ std::string HardwareOverrides::key() const {
     return os.str();
 }
 
-FaultyHardwareConfig to_hardware_config(const FaultScenario& scenario,
-                                        const HardwareOverrides& hw,
-                                        std::uint64_t seed,
-                                        std::size_t train_epochs) {
-    FaultyHardwareConfig config;
-    config.accelerator.num_tiles = hw.num_tiles;
-    config.injection.density = scenario.density;
-    config.injection.sa1_fraction = scenario.sa1_fraction;
-    config.injection.cluster_shape = scenario.cluster_shape;
-    config.injection.seed = seed;
-    config.faults_on_weights = scenario.faults_on_weights;
-    config.faults_on_adjacency = scenario.faults_on_adjacency;
-    config.clip_threshold = hw.clip_threshold;
-    config.match_weights = hw.match_weights;
-    config.post_total_density = scenario.post_total_density;
-    config.post_epochs =
-        scenario.post_epochs > 0 ? scenario.post_epochs : train_epochs;
-    config.post_sa1_fraction = scenario.post_sa1_fraction;
-    config.read_noise_sigma = scenario.read_noise_sigma;
-    config.soft_error_rate = scenario.soft_error_rate;
-    config.wear = scenario.wear;
-    config.arrival_period_batches = scenario.arrival_period_batches;
-    config.spare_column_fraction = hw.spare_column_fraction;
-    config.max_adjacency_pool = hw.max_adjacency_pool;
-    config.online = hw.online;
-    config.partition_aware_mapping = hw.partition_aware_mapping;
-    config.prune_fraction = hw.prune_fraction;
-    return config;
-}
-
 }  // namespace fare

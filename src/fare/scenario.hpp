@@ -2,15 +2,17 @@
 // the paper's evaluation varies about the *chip* — pre-deployment stuck-at
 // density and SA0:SA1 ratio, post-deployment fault arrival, phase
 // restriction (Fig. 3), and non-ideality extensions — decoupled from the
-// scheme under test and from the training configuration. Lowered into the
-// FaultyHardwareConfig the scheme factory consumes by to_hardware_config().
+// scheme under test and from the training configuration. Together with
+// HardwareOverrides and a seed it is the FaultyHardwareConfig the scheme
+// factory consumes (fare/baselines.hpp).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
 
-#include "fare/baselines.hpp"
+#include "fare/row_matcher.hpp"
+#include "reram/online_tolerance.hpp"
 #include "reram/wear_model.hpp"
 
 namespace fare {
@@ -102,7 +104,9 @@ struct FaultScenario {
 struct HardwareOverrides {
     /// Simulated chip size; 1 = one Table III tile (96 crossbars of 128x128).
     int num_tiles = 1;
-    /// Clipping threshold tau (paper §IV-B).
+    /// Clipping threshold tau (paper §IV-B), tuned once across all
+    /// workloads: trained weights rarely exceed ~0.5, so tau = 1 clamps
+    /// stuck-at explosions without touching healthy weights.
     float clip_threshold = 1.0f;
     /// FARe's SA1-criticality weighting for row matching.
     RowMatchWeights match_weights{};
@@ -128,13 +132,5 @@ struct HardwareOverrides {
 
     std::string key() const;
 };
-
-/// Lower (scenario, overrides, seed) into the FaultyHardwareConfig consumed
-/// by make_hardware()/run_scheme(). `train_epochs` resolves a scenario whose
-/// post-deployment arrival spans "the full training run" (post_epochs == 0).
-FaultyHardwareConfig to_hardware_config(const FaultScenario& scenario,
-                                        const HardwareOverrides& hw,
-                                        std::uint64_t seed,
-                                        std::size_t train_epochs);
 
 }  // namespace fare

@@ -31,8 +31,8 @@ namespace fare {
 class Accelerator;
 
 /// Scenario-level wear description (embedded in FaultScenario; the
-/// hardware seed and stuck-at polarity ratio arrive separately through
-/// FaultyHardwareConfig).
+/// stuck-at polarity ratio comes from FaultScenario::post_sa1_fraction and
+/// the hardware seed from FaultyHardwareConfig::seed).
 struct WearSpec {
     /// Mean writes-to-failure of a healthy cell; 0 disables wear entirely.
     double endurance_mean_writes = 0.0;

@@ -136,6 +136,8 @@ std::string cell_problem(const CellSpec& cell) {
           endurance_problem(f.wear.endurance_mean_writes),
           hot_spot_problem(f.wear.hot_spot_fraction),
           unless(hw.clip_threshold > 0.0f, "clip threshold must be > 0"),
+          unless(hw.spare_column_fraction >= 0.0 && hw.spare_column_fraction <= 1.0,
+                 "spare column fraction outside [0,1]"),
           unless(hw.online.readback_tolerance >= 0.0,
                  "readback tolerance must be >= 0"),
           partition_count_problem(cell.partition_count),

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "fare/baselines.hpp"
 #include "sim/builtin_plans.hpp"
 #include "sim/plan.hpp"
 #include "sim/serialization.hpp"
@@ -112,18 +113,18 @@ TEST(FaultScenarioTest, LoweringMatchesFields) {
     hw.num_tiles = 2;
     hw.match_weights = {1.0, 1.0};
     const FaultyHardwareConfig cfg = to_hardware_config(s, hw, 7, 40);
-    EXPECT_EQ(cfg.accelerator.num_tiles, 2);
-    EXPECT_DOUBLE_EQ(cfg.injection.density, 0.03);
-    EXPECT_DOUBLE_EQ(cfg.injection.sa1_fraction, 0.5);
-    EXPECT_DOUBLE_EQ(cfg.injection.cluster_shape, 2.0);
-    EXPECT_EQ(cfg.injection.seed, 7u);
-    EXPECT_DOUBLE_EQ(cfg.post_total_density, 0.01);
-    EXPECT_DOUBLE_EQ(cfg.post_sa1_fraction, 0.5);
-    EXPECT_EQ(cfg.post_epochs, 40u);  // unpinned: spreads over training
-    EXPECT_DOUBLE_EQ(cfg.match_weights.sa1, 1.0);
+    EXPECT_EQ(cfg.hw.num_tiles, 2);
+    EXPECT_DOUBLE_EQ(cfg.faults.density, 0.03);
+    EXPECT_DOUBLE_EQ(cfg.faults.sa1_fraction, 0.5);
+    EXPECT_DOUBLE_EQ(cfg.faults.cluster_shape, 2.0);
+    EXPECT_EQ(cfg.seed, 7u);
+    EXPECT_DOUBLE_EQ(cfg.faults.post_total_density, 0.01);
+    EXPECT_DOUBLE_EQ(cfg.faults.post_sa1_fraction, 0.5);
+    EXPECT_EQ(cfg.faults.post_epochs, 40u);  // unpinned: spreads over training
+    EXPECT_DOUBLE_EQ(cfg.hw.match_weights.sa1, 1.0);
 
     s.post_epochs = 10;  // pinned schedule wins over the training length
-    EXPECT_EQ(to_hardware_config(s, hw, 7, 40).post_epochs, 10u);
+    EXPECT_EQ(to_hardware_config(s, hw, 7, 40).faults.post_epochs, 10u);
 }
 
 TEST(SweepBuilderTest, CrossProductEnumeration) {
@@ -303,6 +304,13 @@ TEST(SweepBuilderTest, RejectsOutOfRangeTemplateValues) {
     clip.clip_threshold = 0.0f;
     EXPECT_THROW(SweepBuilder("bad").workload(w).hardware(clip).build(),
                  InvalidArgument);
+    for (const double fraction : {-0.1, 1.5}) {
+        HardwareOverrides spare;
+        spare.spare_column_fraction = fraction;
+        EXPECT_THROW(SweepBuilder("bad").workload(w).hardware(spare).build(),
+                     InvalidArgument)
+            << "spare column fraction " << fraction;
+    }
     FaultScenario density;
     density.density = 2.0;
     EXPECT_THROW(SweepBuilder("bad").workload(w).scenario(density).build(),
