@@ -352,6 +352,7 @@ std::vector<std::uint16_t> FaultyHardware::nr_weight_permutation(
     const std::size_t n = w.rows();
     const std::size_t phys = region.grid.rows();
     FARE_CHECK(n <= phys, "weight matrix taller than its crossbar column");
+    FARE_CHECK(region.grid.cols() == w.cols(), "fault grid does not cover weight matrix");
 
     if (nr_perm_.size() <= idx) nr_perm_.resize(params_.size());
     if (nr_perm_fresh_.size() <= idx) nr_perm_fresh_.resize(params_.size(), false);
@@ -373,9 +374,12 @@ std::vector<std::uint16_t> FaultyHardware::nr_weight_permutation(
     // Exact min-cost assignment of n logical rows onto phys physical rows.
     std::vector<double> cost(n * phys, 0.0);
     for (std::size_t p = 0; p < phys; ++p) {
-        for (std::size_t c = 0; c < w.cols(); ++c) {
+        const WeightFaultGrid::RowMasks faults = region.grid.row_mask_list(p);
+        for (std::size_t i = 0; i < faults.cols.size(); ++i) {
+            const std::size_t c = faults.cols[i];
             for (int s = 0; s < kCellsPerWeight; ++s) {
-                const auto fault = region.grid.slice_fault(p, c, s);
+                const auto fault = WeightFaultGrid::mask_slice_fault(
+                    faults.and_masks[i], faults.or_masks[i], s);
                 if (!fault.has_value()) continue;
                 const std::uint8_t stuck = (*fault == FaultType::kSA0) ? 0 : 0x3;
                 for (std::size_t r = 0; r < n; ++r) {

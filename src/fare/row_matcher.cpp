@@ -12,27 +12,20 @@ namespace fare {
 namespace {
 
 /// Weighted mismatch cost of putting logical block row `r` on physical row
-/// faults `row_faults` (columns beyond the block are unused cells).
-double row_cost(const BinaryBlock& block, std::uint16_t r,
-                const std::vector<CellFault>& row_faults,
-                const RowMatchWeights& weights) {
+/// `p` of `map` (columns beyond the block are unused cells). Accumulates in
+/// ascending column order.
+double row_cost(const BinaryBlock& block, std::uint16_t r, const FaultMap& map,
+                std::uint16_t p, const RowMatchWeights& weights) {
     double cost = 0.0;
-    for (const CellFault& f : row_faults) {
-        if (f.col >= block.size) continue;
+    map.for_each_fault_in_row(p, [&](const CellFault& f) {
+        if (f.col >= block.size) return;
         const std::uint8_t bit = block.at(r, f.col);
         if (f.type == FaultType::kSA0 && bit == 1)
             cost += weights.sa0;
         else if (f.type == FaultType::kSA1 && bit == 0)
             cost += weights.sa1;
-    }
+    });
     return cost;
-}
-
-/// Per-physical-row fault lists, computed once.
-std::vector<std::vector<CellFault>> faults_by_row(const FaultMap& map) {
-    std::vector<std::vector<CellFault>> rows(map.rows());
-    for (const CellFault& f : map.all_faults()) rows[f.row].push_back(f);
-    return rows;
 }
 
 }  // namespace
@@ -41,11 +34,10 @@ double mapping_cost(const BinaryBlock& block, const FaultMap& map,
                     const std::vector<std::uint16_t>& perm,
                     const RowMatchWeights& weights) {
     FARE_CHECK(perm.size() == block.size, "perm size mismatch");
-    const auto rows = faults_by_row(map);
     double cost = 0.0;
     for (std::uint16_t r = 0; r < block.size; ++r) {
         FARE_CHECK(perm[r] < map.rows(), "perm target out of range");
-        cost += row_cost(block, r, rows[perm[r]], weights);
+        cost += row_cost(block, r, map, perm[r], weights);
     }
     return cost;
 }
@@ -55,10 +47,12 @@ std::size_t sa1_nonoverlap_count(const BinaryBlock& block, const FaultMap& map,
     FARE_CHECK(perm.size() == block.size, "perm size mismatch");
     std::size_t count = 0;
     for (std::uint16_t r = 0; r < block.size; ++r) {
-        for (const CellFault& f : map.row_faults(perm[r])) {
-            if (f.col >= block.size) continue;
-            if (f.type == FaultType::kSA1 && block.at(r, f.col) == 0) ++count;
-        }
+        FARE_CHECK(perm[r] < map.rows(), "perm target out of range");
+        map.for_each_fault_in_row(perm[r], [&](const CellFault& f) {
+            if (f.col < block.size && f.type == FaultType::kSA1 &&
+                block.at(r, f.col) == 0)
+                ++count;
+        });
     }
     return count;
 }
@@ -69,18 +63,16 @@ RowMatchResult best_row_permutation(const BinaryBlock& block, const FaultMap& ma
     const std::uint16_t phys = map.rows();
     FARE_CHECK(phys >= n, "crossbar has fewer rows than the block");
 
-    const auto rows = faults_by_row(map);
-
     // Per-physical-row worst-case cost C_p (all faults mismatch) and the
     // benefit of each (logical, physical) pairing: benefit = C_p - cost.
     // Maximising matched benefit minimises total mismatch cost.
     std::vector<double> base(phys, 0.0);
     std::vector<std::uint16_t> faulty_rows;
     for (std::uint16_t p = 0; p < phys; ++p) {
-        for (const CellFault& f : rows[p]) {
-            if (f.col >= n) continue;
-            base[p] += (f.type == FaultType::kSA1) ? weights.sa1 : weights.sa0;
-        }
+        map.for_each_fault_in_row(p, [&](const CellFault& f) {
+            if (f.col < n)
+                base[p] += (f.type == FaultType::kSA1) ? weights.sa1 : weights.sa0;
+        });
         if (base[p] > 0.0) faulty_rows.push_back(p);
     }
 
@@ -90,7 +82,7 @@ RowMatchResult best_row_permutation(const BinaryBlock& block, const FaultMap& ma
     for (std::size_t fi = 0; fi < faulty_rows.size(); ++fi) {
         const std::uint16_t p = faulty_rows[fi];
         for (std::uint16_t r = 0; r < n; ++r) {
-            const double benefit = base[p] - row_cost(block, r, rows[p], weights);
+            const double benefit = base[p] - row_cost(block, r, map, p, weights);
             if (benefit > 0.0)
                 edges.push_back({r, static_cast<std::uint32_t>(n + fi), benefit});
         }
@@ -139,13 +131,12 @@ RowMatchResult best_row_permutation_exact(const BinaryBlock& block,
     const std::uint16_t n = block.size;
     const std::uint16_t phys = map.rows();
     FARE_CHECK(phys >= n, "crossbar has fewer rows than the block");
-    const auto rows = faults_by_row(map);
 
     std::vector<double> cost(static_cast<std::size_t>(n) * phys, 0.0);
     for (std::uint16_t r = 0; r < n; ++r)
         for (std::uint16_t p = 0; p < phys; ++p)
             cost[static_cast<std::size_t>(r) * phys + p] =
-                row_cost(block, r, rows[p], weights);
+                row_cost(block, r, map, p, weights);
 
     const AssignmentResult assignment = hungarian_min_cost(n, phys, cost);
     RowMatchResult result;

@@ -17,9 +17,10 @@
 
 namespace fare {
 
-/// Dense per-cell fault grid covering a (rows x cols*8) cell region that
-/// stores a (rows x cols) weight matrix, assembled from per-crossbar fault
-/// maps in the same grid layout ProgrammedWeights uses.
+/// Per-weight fault masks covering a (rows x cols*8) cell region that
+/// stores a (rows x cols) weight matrix, folded from the bit planes of the
+/// per-crossbar fault maps in the same grid layout ProgrammedWeights uses.
+/// Only faulty weights are stored.
 class WeightFaultGrid {
 public:
     WeightFaultGrid() = default;
@@ -32,10 +33,17 @@ public:
 
     std::size_t rows() const { return rows_; }
     std::size_t cols() const { return cols_; }
-    bool empty() const { return cells_.empty(); }
+    bool empty() const { return rows_ == 0 || cols_ == 0; }
 
-    /// Fault on slice s (0 = MSB slice) of weight (r, c), if any.
+    /// Fault on slice s (0 = MSB slice) of weight (r, c), if any: a binary
+    /// search of row r's mask list, then mask_slice_fault.
     std::optional<FaultType> slice_fault(std::size_t r, std::size_t c, int s) const;
+
+    /// Fault on slice s of a weight with masks (and_mask, or_mask): the slice
+    /// is faulty iff its two bits are cleared in and_mask, and SA1 iff they
+    /// are set in or_mask.
+    static std::optional<FaultType> mask_slice_fault(std::uint16_t and_mask,
+                                                     std::uint16_t or_mask, int s);
 
     /// Faulty weights of one physical row: parallel arrays sorted by weight
     /// column, one entry per weight with at least one faulty cell, each
@@ -52,8 +60,7 @@ public:
     };
 
     /// Pre-folded mask entries of physical row r. Lets CompiledFaultOverlay
-    /// compile in O(faulty weights) instead of scanning the dense
-    /// (rows x cols*8) cell grid.
+    /// compile in O(faulty weights).
     RowMasks row_mask_list(std::size_t r) const {
         const std::size_t b = row_offsets_[r], n = row_offsets_[r + 1] - b;
         return {{fault_cols_.data() + b, n},
@@ -65,8 +72,13 @@ public:
     std::size_t num_faults() const { return num_faults_; }
 
 private:
+    /// The two sign-magnitude image bits of slice s (0 = MSB slice).
+    static std::uint16_t slice_bits(int s) {
+        return static_cast<std::uint16_t>(
+            0x3u << (kFixedTotalBits - kBitsPerCell * (s + 1)));
+    }
+
     std::size_t rows_ = 0, cols_ = 0;
-    std::vector<std::uint8_t> cells_;  // (rows x cols*8), 0 = healthy
     // Sparse pre-folded mask index, sorted by (row, weight_col): rows_ + 1
     // offsets into three parallel arrays.
     std::vector<std::size_t> row_offsets_;

@@ -52,8 +52,7 @@ bool Crossbar::reform(std::uint16_t row, std::uint16_t col, std::uint32_t pulses
     writes_ += pulses;
     const std::uint32_t cell_count = (cell_writes_[index(row, col)] += pulses);
     if (cell_count > max_cell_extra_) max_cell_extra_ = cell_count;
-    if (faults_.is_faulty(row, col) && faults_.is_soft(row, col))
-        faults_.clear(row, col);
+    if (faults_.is_soft(row, col)) faults_.clear(row, col);
     return !faults_.is_faulty(row, col);
 }
 

@@ -10,68 +10,71 @@ namespace fare {
 FaultMap::FaultMap(std::uint16_t rows, std::uint16_t cols)
     : rows_(rows),
       cols_(cols),
-      grid_(static_cast<std::size_t>(rows) * cols, 0),
-      soft_(static_cast<std::size_t>(rows) * cols, 0) {}
+      words_((static_cast<std::size_t>(cols) + kWordBits - 1) / kWordBits),
+      sa0_(rows * words_, 0),
+      sa1_(rows * words_, 0),
+      soft_(rows * words_, 0) {}
 
 void FaultMap::add(std::uint16_t row, std::uint16_t col, FaultType type,
                    bool soft) {
-    FARE_CHECK(row < rows_ && col < cols_, "fault position out of range");
-    const std::size_t i = index(row, col);
-    auto& cell = grid_[i];
-    if (cell == static_cast<std::uint8_t>(FaultType::kSA0)) --num_sa0_;
-    if (cell == static_cast<std::uint8_t>(FaultType::kSA1)) --num_sa1_;
-    if (soft_[i] != 0) --num_soft_;
-    cell = static_cast<std::uint8_t>(type);
-    soft_[i] = soft ? 1 : 0;
-    if (soft) ++num_soft_;
-    if (type == FaultType::kSA0)
+    clear(row, col);  // range check, and an overwrite drops the old counts
+    const std::size_t w = word(row, col);
+    if (type == FaultType::kSA0) {
+        sa0_[w] |= bit(col);
         ++num_sa0_;
-    else
+    } else {
+        sa1_[w] |= bit(col);
         ++num_sa1_;
+    }
+    if (soft) {
+        soft_[w] |= bit(col);
+        ++num_soft_;
+    }
 }
 
 void FaultMap::clear(std::uint16_t row, std::uint16_t col) {
     FARE_CHECK(row < rows_ && col < cols_, "fault position out of range");
-    const std::size_t i = index(row, col);
-    auto& cell = grid_[i];
-    if (cell == static_cast<std::uint8_t>(FaultType::kSA0)) --num_sa0_;
-    if (cell == static_cast<std::uint8_t>(FaultType::kSA1)) --num_sa1_;
-    if (soft_[i] != 0) --num_soft_;
-    cell = 0;
-    soft_[i] = 0;
+    const std::size_t w = word(row, col);
+    const Word b = bit(col);
+    if ((sa0_[w] & b) != 0) --num_sa0_;
+    if ((sa1_[w] & b) != 0) --num_sa1_;
+    if ((soft_[w] & b) != 0) --num_soft_;
+    sa0_[w] &= ~b;
+    sa1_[w] &= ~b;
+    soft_[w] &= ~b;
 }
 
 std::optional<FaultType> FaultMap::at(std::uint16_t row, std::uint16_t col) const {
     FARE_CHECK(row < rows_ && col < cols_, "fault position out of range");
-    const auto cell = grid_[index(row, col)];
-    if (cell == 0) return std::nullopt;
-    return static_cast<FaultType>(cell);
+    const std::size_t w = word(row, col);
+    if ((sa0_[w] & bit(col)) != 0) return FaultType::kSA0;
+    if ((sa1_[w] & bit(col)) != 0) return FaultType::kSA1;
+    return std::nullopt;
 }
 
-std::vector<CellFault> FaultMap::all_faults() const {
-    std::vector<CellFault> out;
-    out.reserve(num_faults());
-    for (std::uint16_t r = 0; r < rows_; ++r)
-        for (std::uint16_t c = 0; c < cols_; ++c) {
-            const auto cell = grid_[index(r, c)];
-            if (cell != 0) out.push_back({r, c, static_cast<FaultType>(cell)});
-        }
-    return out;
-}
-
-std::vector<CellFault> FaultMap::row_faults(std::uint16_t row) const {
-    FARE_CHECK(row < rows_, "row out of range");
-    std::vector<CellFault> out;
-    for (std::uint16_t c = 0; c < cols_; ++c) {
-        const auto cell = grid_[index(row, c)];
-        if (cell != 0) out.push_back({row, c, static_cast<FaultType>(cell)});
+FaultMap FaultMap::without_columns(const std::vector<bool>& columns) const {
+    FARE_CHECK(columns.size() == cols_, "column mask width mismatch");
+    std::vector<Word> keep_row(words_, 0);
+    for (std::uint16_t c = 0; c < cols_; ++c)
+        if (!columns[c]) keep_row[c / kWordBits] |= bit(c);
+    FaultMap out = *this;
+    out.num_sa0_ = out.num_sa1_ = out.num_soft_ = 0;
+    for (std::size_t i = 0; i < sa0_.size(); ++i) {
+        const Word keep = keep_row[i % words_];
+        out.sa0_[i] &= keep;
+        out.sa1_[i] &= keep;
+        out.soft_[i] &= keep;
+        out.num_sa0_ += static_cast<std::size_t>(std::popcount(out.sa0_[i]));
+        out.num_sa1_ += static_cast<std::size_t>(std::popcount(out.sa1_[i]));
+        out.num_soft_ += static_cast<std::size_t>(std::popcount(out.soft_[i]));
     }
     return out;
 }
 
 double FaultMap::fault_density() const {
-    if (grid_.empty()) return 0.0;
-    return static_cast<double>(num_faults()) / static_cast<double>(grid_.size());
+    const std::size_t cells = static_cast<std::size_t>(rows_) * cols_;
+    if (cells == 0) return 0.0;
+    return static_cast<double>(num_faults()) / static_cast<double>(cells);
 }
 
 std::vector<FaultMap> inject_faults(std::size_t num_crossbars, std::uint16_t rows,
@@ -149,8 +152,9 @@ FaultMap repair_worst_columns(const FaultMap& map, std::size_t num_spares,
                               double sa1_weight) {
     // Rank columns by weighted fault count.
     std::vector<double> column_cost(map.cols(), 0.0);
-    for (const CellFault& f : map.all_faults())
+    map.for_each_fault([&](const CellFault& f) {
         column_cost[f.col] += (f.type == FaultType::kSA1) ? sa1_weight : 1.0;
+    });
     std::vector<std::uint16_t> order(map.cols());
     for (std::uint16_t c = 0; c < map.cols(); ++c) order[c] = c;
     std::stable_sort(order.begin(), order.end(), [&](std::uint16_t a, std::uint16_t b) {
@@ -161,10 +165,7 @@ FaultMap repair_worst_columns(const FaultMap& map, std::size_t num_spares,
         if (column_cost[order[i]] <= 0.0) break;  // nothing left to repair
         repaired[order[i]] = true;
     }
-    FaultMap out(map.rows(), map.cols());
-    for (const CellFault& f : map.all_faults())
-        if (!repaired[f.col]) out.add(f.row, f.col, f.type);
-    return out;
+    return map.without_columns(repaired);
 }
 
 double mean_fault_density(const std::vector<FaultMap>& maps) {

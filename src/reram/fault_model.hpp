@@ -9,9 +9,12 @@
 // with write wear and are injected incrementally between epochs.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
+
+#include "common/error.hpp"
 
 namespace fare {
 
@@ -25,7 +28,19 @@ struct CellFault {
     FaultType type = FaultType::kSA0;
 };
 
-/// Fault map of a single crossbar: dense lookup grid + sparse listing.
+/// Fault map of a single crossbar, stored as three row-major bit planes:
+/// SA0, SA1 and soft. Row r owns ceil(cols / 64) 64-bit words in each
+/// plane, and column c is bit c % 64 of the row's word c / 64; bits past
+/// `cols` in a row's last word stay zero. A faulty cell has exactly one of
+/// its SA0/SA1 bits set, and its soft bit marks it re-formable; a healthy
+/// cell has all three clear.
+///
+/// Consumers read the planes in place through set-bit iteration
+/// (for_each_fault, for_each_fault_in_row): faults come out in ascending
+/// (row, col) order and no consumer builds a copy of the fault list.
+/// without_columns() is the one column filter: the redundancy baseline's
+/// spare columns (repair_worst_columns) and the online engine's substituted
+/// columns (OnlineToleranceEngine::repaired_map) both drop faults through it.
 class FaultMap {
 public:
     FaultMap() = default;
@@ -49,19 +64,41 @@ public:
     std::optional<FaultType> at(std::uint16_t row, std::uint16_t col) const;
 
     bool is_faulty(std::uint16_t row, std::uint16_t col) const {
-        return grid_[index(row, col)] != 0;
+        const std::size_t w = word(row, col);
+        return ((sa0_[w] | sa1_[w]) & bit(col)) != 0;
     }
 
     /// True iff the cell holds a *soft* (re-formable) fault.
     bool is_soft(std::uint16_t row, std::uint16_t col) const {
-        return soft_[index(row, col)] != 0;
+        return (soft_[word(row, col)] & bit(col)) != 0;
     }
 
-    /// All faults, sorted by (row, col).
-    std::vector<CellFault> all_faults() const;
+    /// Call fn(CellFault) for every fault of one row, in ascending column
+    /// order.
+    template <typename Fn>
+    void for_each_fault_in_row(std::uint16_t row, Fn&& fn) const {
+        FARE_DCHECK(row < rows_, "row out of range");
+        const std::size_t base = static_cast<std::size_t>(row) * words_;
+        for (std::size_t w = 0; w < words_; ++w) {
+            const Word sa1 = sa1_[base + w];
+            for (Word any = sa0_[base + w] | sa1; any != 0; any &= any - 1) {
+                const int b = std::countr_zero(any);
+                fn(CellFault{row, static_cast<std::uint16_t>(w * kWordBits + b),
+                             ((sa1 >> b) & 1u) != 0 ? FaultType::kSA1
+                                                    : FaultType::kSA0});
+            }
+        }
+    }
 
-    /// Faults within one crossbar row, sorted by column.
-    std::vector<CellFault> row_faults(std::uint16_t row) const;
+    /// Call fn(CellFault) for every fault, in ascending (row, col) order.
+    template <typename Fn>
+    void for_each_fault(Fn&& fn) const {
+        for (std::uint16_t r = 0; r < rows_; ++r) for_each_fault_in_row(r, fn);
+    }
+
+    /// This map without the faults on the columns flagged in `columns` (one
+    /// flag per column). Soft flags of the kept faults are kept.
+    FaultMap without_columns(const std::vector<bool>& columns) const;
 
     std::size_t num_faults() const { return num_sa0_ + num_sa1_; }
     std::size_t num_sa0() const { return num_sa0_; }
@@ -72,14 +109,19 @@ public:
     double fault_density() const;
 
 private:
-    std::size_t index(std::uint16_t r, std::uint16_t c) const {
-        return static_cast<std::size_t>(r) * cols_ + c;
+    using Word = std::uint64_t;
+    static constexpr std::size_t kWordBits = 64;
+
+    std::size_t word(std::uint16_t r, std::uint16_t c) const {
+        FARE_DCHECK(r < rows_ && c < cols_, "fault position out of range");
+        return static_cast<std::size_t>(r) * words_ + c / kWordBits;
     }
+    static Word bit(std::uint16_t c) { return Word{1} << (c % kWordBits); }
 
     std::uint16_t rows_ = 0;
     std::uint16_t cols_ = 0;
-    std::vector<std::uint8_t> grid_;  // 0 = healthy, else FaultType
-    std::vector<std::uint8_t> soft_;  // 1 = re-formable (soft) fault
+    std::size_t words_ = 0;
+    std::vector<Word> sa0_, sa1_, soft_;  // rows x words_ each
     std::size_t num_sa0_ = 0;
     std::size_t num_sa1_ = 0;
     std::size_t num_soft_ = 0;

@@ -7,32 +7,41 @@
 
 namespace fare {
 
+OnlineToleranceEngine::CrossbarState& OnlineToleranceEngine::state(
+    std::size_t xb, const Crossbar& xbar) {
+    if (xbars_.size() <= xb) xbars_.resize(xb + 1);
+    CrossbarState& st = xbars_[xb];
+    if (st.substituted.empty()) {
+        st.substituted.assign(xbar.cols(), false);
+        st.known = FaultMap(xbar.rows(), xbar.cols());
+    }
+    return st;
+}
+
 void OnlineToleranceEngine::note_arrivals(
     std::uint64_t step, const std::vector<std::size_t>& touched) {
     for (std::size_t xb : touched) {
-        auto it = pending_arrivals_.find(xb);
+        if (xbars_.size() <= xb) xbars_.resize(xb + 1);
         // Keep the *earliest* pending arrival: latency is measured from the
         // first damage the next march of this crossbar will discover.
-        if (it == pending_arrivals_.end())
-            pending_arrivals_.emplace(xb, step);
+        if (!xbars_[xb].pending_since) xbars_[xb].pending_since = step;
     }
 }
 
-double OnlineToleranceEngine::signature_error(
-    const Crossbar& xbar, const CrossbarRepair* repair,
-    const std::set<std::uint32_t>* known) const {
+double OnlineToleranceEngine::signature_error(const Crossbar& xbar,
+                                              const CrossbarState& st) {
+    // Healthy cells read what they store and a faulty cell reads its stuck
+    // level, so only faulty cells add error.
     std::uint64_t abs_err = 0;
-    for (std::uint16_t r = 0; r < xbar.rows(); ++r)
-        for (std::uint16_t c = 0; c < xbar.cols(); ++c) {
-            if (repair != nullptr && repair->substituted.count(c) > 0)
-                continue;  // reads routed to the fault-free spare
-            if (known != nullptr &&
-                known->count((static_cast<std::uint32_t>(r) << 16) | c) > 0)
-                continue;  // folded into the fault-adjusted golden value
-            const int delta = static_cast<int>(xbar.read(r, c)) -
-                              static_cast<int>(xbar.stored(r, c));
-            abs_err += static_cast<std::uint64_t>(std::abs(delta));
-        }
+    xbar.fault_map().for_each_fault([&](const CellFault& f) {
+        if (st.substituted[f.col])
+            return;  // reads routed to the fault-free spare
+        if (st.known.is_faulty(f.row, f.col))
+            return;  // folded into the fault-adjusted golden value
+        const int stuck = f.type == FaultType::kSA0 ? 0 : Crossbar::max_level();
+        const int delta = stuck - static_cast<int>(xbar.stored(f.row, f.col));
+        abs_err += static_cast<std::uint64_t>(std::abs(delta));
+    });
     const double cells = static_cast<double>(xbar.rows()) *
                          static_cast<double>(xbar.cols());
     return static_cast<double>(abs_err) /
@@ -47,14 +56,12 @@ void OnlineToleranceEngine::repair_crossbar(std::uint64_t step,
     const BistResult scan = bist_scan(xbar);
     outcome.march_cell_ops += scan.cell_ops;
 
-    CrossbarRepair& repair = repairs_[xb];
-    std::set<std::uint32_t>& known = known_[xb];
-    std::map<std::uint16_t, std::size_t> hard_cols;  // col -> hard fault count
-    for (const CellFault& f : scan.detected.all_faults()) {
-        if (repair.substituted.count(f.col) > 0) continue;  // already on spare
-        const std::uint32_t cell_key =
-            (static_cast<std::uint32_t>(f.row) << 16) | f.col;
-        if (known.insert(cell_key).second) {
+    CrossbarState& st = state(xb, xbar);
+    std::vector<std::size_t> hard_count(xbar.cols(), 0);
+    scan.detected.for_each_fault([&](const CellFault& f) {
+        if (st.substituted[f.col]) return;  // already on spare
+        if (!st.known.is_faulty(f.row, f.col)) {
+            st.known.add(f.row, f.col, f.type);
             ++stats_.faults_detected;
             outcome.state_changed = true;
         }
@@ -65,27 +72,27 @@ void OnlineToleranceEngine::repair_crossbar(std::uint64_t step,
             outcome.repair_pulses += spec_.reprogram_pulses;
             stats_.repair_writes += spec_.reprogram_pulses;
             ++stats_.soft_repaired;
-            known.erase(cell_key);  // healthy again; a re-fail counts anew
+            st.known.clear(f.row, f.col);  // healthy again; a re-fail counts anew
             outcome.state_changed = true;
         } else {
-            ++hard_cols[f.col];
+            ++hard_count[f.col];
         }
-    }
+    });
 
     // Redundant-column substitution: worst hard columns first (count desc,
     // column asc — fully deterministic) while spares remain.
-    std::vector<std::pair<std::uint16_t, std::size_t>> order(hard_cols.begin(),
-                                                             hard_cols.end());
+    std::vector<std::uint16_t> order;
+    for (std::uint16_t c = 0; c < xbar.cols(); ++c)
+        if (hard_count[c] > 0) order.push_back(c);
     std::stable_sort(order.begin(), order.end(),
-                     [](const auto& a, const auto& b) {
-                         if (a.second != b.second) return a.second > b.second;
-                         return a.first < b.first;
+                     [&](std::uint16_t a, std::uint16_t b) {
+                         return hard_count[a] > hard_count[b];
                      });
     std::size_t uncovered = 0;
-    for (const auto& [col, count] : order) {
-        (void)count;
-        if (repair.substituted.size() < spec_.spare_columns) {
-            repair.substituted.insert(col);
+    for (const std::uint16_t col : order) {
+        if (st.spares_used < spec_.spare_columns) {
+            st.substituted[col] = true;
+            ++st.spares_used;
             ++stats_.columns_substituted;
             outcome.state_changed = true;
         } else {
@@ -95,15 +102,14 @@ void OnlineToleranceEngine::repair_crossbar(std::uint64_t step,
     // Exhaustion = spares used up with hard faults left uncovered: the
     // crossbar degrades to fault-aware remap (residual faults stay in the
     // mitigation view; nothing crashes).
-    repair.exhausted = uncovered > 0;
+    st.exhausted = uncovered > 0;
 
     // Detection-latency sample: this march discovers everything that arrived
     // on this crossbar since its last march.
-    auto pending = pending_arrivals_.find(xb);
-    if (pending != pending_arrivals_.end()) {
-        stats_.latency_steps_sum += step - pending->second;
+    if (st.pending_since) {
+        stats_.latency_steps_sum += step - *st.pending_since;
         ++stats_.latency_samples;
-        pending_arrivals_.erase(pending);
+        st.pending_since.reset();
     }
 }
 
@@ -114,59 +120,49 @@ OnlineRoundOutcome OnlineToleranceEngine::detection_round(
     ++stats_.detection_rounds;
     if (in_use.empty()) return outcome;
 
+    for (std::size_t xb : in_use)
+        FARE_CHECK(xb < accel.num_crossbars(), "in-use crossbar out of range");
     // Rotating partial march window.
-    std::set<std::size_t> to_march;
+    std::vector<bool> to_march(accel.num_crossbars(), false);
     const std::size_t window = std::min(spec_.march_window, in_use.size());
     for (std::size_t k = 0; k < window; ++k)
-        to_march.insert(in_use[(cursor_ + k) % in_use.size()]);
+        to_march[in_use[(cursor_ + k) % in_use.size()]] = true;
     cursor_ = (cursor_ + window) % in_use.size();
 
     // Error-bounded readback everywhere else; escalate noisy crossbars.
     for (std::size_t xb : in_use) {
-        if (to_march.count(xb) > 0) continue;
+        if (to_march[xb]) continue;
         ++outcome.readback_checks;
         ++stats_.readback_checks;
-        auto rep = repairs_.find(xb);
-        const CrossbarRepair* repair =
-            rep == repairs_.end() ? nullptr : &rep->second;
-        auto kn = known_.find(xb);
-        const std::set<std::uint32_t>* known =
-            kn == known_.end() ? nullptr : &kn->second;
-        if (signature_error(accel.crossbar(xb), repair, known) >
-            spec_.readback_tolerance)
-            to_march.insert(xb);
+        const Crossbar& xbar = accel.crossbar(xb);
+        if (signature_error(xbar, state(xb, xbar)) > spec_.readback_tolerance)
+            to_march[xb] = true;
     }
 
-    // March + repair in sorted crossbar order (std::set) — deterministic.
-    for (std::size_t xb : to_march) repair_crossbar(step, accel, xb, outcome);
+    // March + repair in ascending crossbar order — deterministic.
+    for (std::size_t xb = 0; xb < to_march.size(); ++xb)
+        if (to_march[xb]) repair_crossbar(step, accel, xb, outcome);
     stats_.march_cell_ops += outcome.march_cell_ops;
 
     std::uint64_t exhausted = 0;
-    for (const auto& [xb, repair] : repairs_)
-        if (repair.exhausted) ++exhausted;
+    for (const CrossbarState& st : xbars_)
+        if (st.exhausted) ++exhausted;
     stats_.crossbars_exhausted = exhausted;
     return outcome;
 }
 
 FaultMap OnlineToleranceEngine::repaired_map(std::size_t crossbar_index,
                                              const FaultMap& truth) const {
-    auto it = repairs_.find(crossbar_index);
-    if (it == repairs_.end() || it->second.substituted.empty()) return truth;
-    FaultMap out(truth.rows(), truth.cols());
-    for (const CellFault& f : truth.all_faults())
-        if (it->second.substituted.count(f.col) == 0)
-            out.add(f.row, f.col, f.type, truth.is_soft(f.row, f.col));
-    return out;
+    if (spares_used(crossbar_index) == 0) return truth;
+    return truth.without_columns(xbars_[crossbar_index].substituted);
 }
 
 bool OnlineToleranceEngine::exhausted(std::size_t crossbar_index) const {
-    auto it = repairs_.find(crossbar_index);
-    return it != repairs_.end() && it->second.exhausted;
+    return crossbar_index < xbars_.size() && xbars_[crossbar_index].exhausted;
 }
 
 std::size_t OnlineToleranceEngine::spares_used(std::size_t crossbar_index) const {
-    auto it = repairs_.find(crossbar_index);
-    return it == repairs_.end() ? 0 : it->second.substituted.size();
+    return crossbar_index < xbars_.size() ? xbars_[crossbar_index].spares_used : 0;
 }
 
 }  // namespace fare

@@ -20,16 +20,25 @@
 //   degrades gracefully to fault-aware remap: the residual faults stay
 //   visible to the mapper/overlay instead of crashing the run.
 //
-// Every decision is a pure function of the engine's inputs (crossbar state,
-// step numbers, spec) — no wall-clock, no unordered iteration — so detection
-// and repair logs are byte-identical across Inline, Pool and Remote
-// executors. Costs are charged through TimingModel (march/readback/reprogram
-// latency) and the per-cell write counters (WearModel wear).
+// The readback check compares the crossbar's reads against what it stores,
+// and a healthy cell reads exactly what it stores, so the check visits only
+// the truth map's faulty cells (minus substituted columns and faults already
+// known), never the whole array. The repair view of a crossbar is its fault
+// map with the substituted columns dropped by FaultMap::without_columns, the
+// same column filter the redundancy baseline uses.
+//
+// Per-crossbar state lives in a vector indexed by crossbar: a column bitset
+// of substituted columns and a FaultMap of the faults already known. Every
+// decision is a pure function of the engine's inputs (crossbar state, step
+// numbers, spec) — no wall-clock, no unordered iteration, crossbars marched
+// in ascending index order — so detection and repair logs are byte-identical
+// across Inline, Pool and Remote executors. Costs are charged through
+// TimingModel (march/readback/reprogram latency) and the per-cell write
+// counters (WearModel wear).
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
+#include <optional>
 #include <vector>
 
 #include "reram/accelerator.hpp"
@@ -127,10 +136,19 @@ public:
     }
 
 private:
-    struct CrossbarRepair {
-        std::set<std::uint16_t> substituted;  ///< logical columns on spares
+    struct CrossbarState {
+        std::vector<bool> substituted;  ///< per column: routed to a spare
+        std::size_t spares_used = 0;
+        /// Faults already counted in stats_.faults_detected, as marched. A
+        /// re-form clears the cell, so a re-failed cell counts again.
+        FaultMap known;
+        /// Earliest un-marched arrival step (latency bookkeeping).
+        std::optional<std::uint64_t> pending_since;
         bool exhausted = false;  ///< hard faults remain but spares are gone
     };
+
+    /// State of crossbar `xb`, sized for `xbar`.
+    CrossbarState& state(std::size_t xb, const Crossbar& xbar);
 
     /// Targeted march + repair of one crossbar.
     void repair_crossbar(std::uint64_t step, Accelerator& accel,
@@ -139,19 +157,12 @@ private:
     /// Relative |read - stored| signature error against the fault-adjusted
     /// golden value: substituted columns and already-known faults are
     /// excluded, so only *unknown* damage escalates to a march.
-    double signature_error(const Crossbar& xbar, const CrossbarRepair* repair,
-                           const std::set<std::uint32_t>* known) const;
+    static double signature_error(const Crossbar& xbar, const CrossbarState& st);
 
     OnlinePolicySpec spec_;
     OnlineToleranceStats stats_;
     std::size_t cursor_ = 0;  ///< rotating march window position
-    std::map<std::size_t, CrossbarRepair> repairs_;
-    /// Crossbar -> earliest un-marched arrival step (latency bookkeeping).
-    std::map<std::size_t, std::uint64_t> pending_arrivals_;
-    /// Faults already counted in stats_.faults_detected, per crossbar
-    /// (encoded row<<16|col); re-forms remove entries so a re-failed cell
-    /// counts again.
-    std::map<std::size_t, std::set<std::uint32_t>> known_;
+    std::vector<CrossbarState> xbars_;  ///< indexed by crossbar
 };
 
 }  // namespace fare

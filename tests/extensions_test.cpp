@@ -26,6 +26,23 @@ TEST(RepairColumnsTest, RemovesWorstColumnsFirst) {
     EXPECT_FALSE(repaired.at(0, 2).has_value());
 }
 
+TEST(RepairColumnsTest, ColumnsPastTheFirstWordAreRepaired) {
+    // 130 columns span three fault-map words; the worst column sits in the
+    // last, partly used one, and soft flags survive on the kept columns.
+    FaultMap map(4, 130);
+    map.add(0, 129, FaultType::kSA1);
+    map.add(2, 129, FaultType::kSA1);
+    map.add(1, 64, FaultType::kSA1, /*soft=*/true);
+    map.add(3, 5, FaultType::kSA0);
+    const FaultMap repaired = repair_worst_columns(map, 1);
+    EXPECT_EQ(repaired.num_faults(), 2u);
+    EXPECT_FALSE(repaired.is_faulty(0, 129));
+    EXPECT_FALSE(repaired.is_faulty(2, 129));
+    EXPECT_TRUE(repaired.is_soft(1, 64));
+    EXPECT_EQ(repaired.num_soft(), 1u);
+    EXPECT_EQ(repaired.at(3, 5), FaultType::kSA0);
+}
+
 TEST(RepairColumnsTest, Sa1WeightingDecidesTies) {
     FaultMap map(4, 4);
     map.add(0, 0, FaultType::kSA1);  // one SA1 (weight 4)

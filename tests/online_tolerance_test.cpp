@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "reram/accelerator.hpp"
 #include "reram/online_tolerance.hpp"
 #include "sim/cell.hpp"
@@ -174,6 +175,14 @@ TEST(OnlineToleranceTest, DetectionLatencyIsMeasuredFromEarliestArrival) {
     EXPECT_EQ(engine.stats().latency_samples, 1u);
     EXPECT_EQ(engine.stats().latency_steps_sum, 4u);
     EXPECT_DOUBLE_EQ(engine.stats().mean_detection_latency_steps(), 4.0);
+}
+
+TEST(OnlineToleranceTest, OutOfRangeInUseCrossbarIsRejected) {
+    Accelerator accel(small_config());  // crossbars 0-3
+    OnlinePolicySpec spec;
+    spec.detect_period_batches = 1;
+    OnlineToleranceEngine engine(spec);
+    EXPECT_THROW(engine.detection_round(0, accel, {0, 4}), InvalidArgument);
 }
 
 TEST(OnlineToleranceTest, ReadbackEscalatesDamageOutsideTheMarchWindow) {

@@ -9,6 +9,8 @@
 #include <cstring>
 
 #include "common/rng.hpp"
+#include "fare/bsuitor.hpp"
+#include "fare/hungarian.hpp"
 
 namespace fare {
 namespace {
@@ -29,6 +31,20 @@ FaultMap random_map(std::uint16_t n, double density, double sa1_frac, Rng& rng) 
                 map.add(r, c,
                         rng.next_bool(sa1_frac) ? FaultType::kSA1 : FaultType::kSA0);
     return map;
+}
+
+/// cost(r, p): logical row r of `block` on physical row p of `map`, as the
+/// mismatch definition in row_matcher.hpp states it.
+double mapping_cost_row(const BinaryBlock& block, const FaultMap& map,
+                        std::uint16_t r, std::uint16_t p, const RowMatchWeights& w) {
+    double cost = 0.0;
+    map.for_each_fault_in_row(p, [&](const CellFault& f) {
+        if (f.col >= block.size) return;
+        const std::uint8_t bit = block.at(r, f.col);
+        if (f.type == FaultType::kSA0 && bit == 1) cost += w.sa0;
+        if (f.type == FaultType::kSA1 && bit == 0) cost += w.sa1;
+    });
+    return cost;
 }
 
 void check_is_permutation(const std::vector<std::uint16_t>& perm, std::uint16_t phys) {
@@ -211,6 +227,61 @@ TEST(RowMatcherTest, OracleAtCrossbarBlockSize) {
     EXPECT_EQ(instance, 24);
     EXPECT_EQ(digest, 0x1ec270e4cf56b276ull)
         << std::hex << "digest 0x" << digest;
+}
+
+/// b-Suitor's half-approximation bound on the benefit graph the matcher
+/// solves at crossbar height: logical rows [0, n) against faulty physical
+/// rows, benefit(r, p) = C_p - cost(r, p), where C_p is the cost of row p
+/// with every fault mismatching. The graph is rebuilt here from that
+/// definition; its matching must reproduce best_row_permutation's matched
+/// pairs, which ties it to the graph the matcher builds. The optimum is the
+/// maximum-weight assignment: Hungarian on negated benefits over all n
+/// physical rows (a non-edge costs 0, i.e. leaves the row unmatched).
+TEST(RowMatcherTest, BSuitorHalfApproximationOnBenefitGraph) {
+    constexpr std::uint16_t n = 128;
+    const RowMatchWeights w;
+    for (const double density : {0.01, 0.03, 0.10}) {
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+            Rng rng(seed * 104729 + static_cast<std::uint64_t>(density * 1000));
+            const BinaryBlock block = random_block(n, 0.05, rng);
+            const FaultMap map = random_map(n, density, 0.5, rng);
+
+            std::vector<double> base(n, 0.0);
+            std::vector<std::uint16_t> faulty_rows;
+            for (std::uint16_t p = 0; p < n; ++p) {
+                map.for_each_fault_in_row(p, [&](const CellFault& f) {
+                    base[p] += f.type == FaultType::kSA1 ? w.sa1 : w.sa0;
+                });
+                if (base[p] > 0.0) faulty_rows.push_back(p);
+            }
+            std::vector<WeightedEdge> edges;
+            std::vector<double> neg_benefit(static_cast<std::size_t>(n) * n, 0.0);
+            for (std::size_t fi = 0; fi < faulty_rows.size(); ++fi) {
+                const std::uint16_t p = faulty_rows[fi];
+                for (std::uint16_t r = 0; r < n; ++r) {
+                    const double benefit =
+                        base[p] - mapping_cost_row(block, map, r, p, w);
+                    if (benefit <= 0.0) continue;
+                    edges.push_back({r, static_cast<std::uint32_t>(n + fi), benefit});
+                    neg_benefit[static_cast<std::size_t>(r) * n + p] = -benefit;
+                }
+            }
+            const auto total = static_cast<std::uint32_t>(n + faulty_rows.size());
+            const BMatching approx =
+                bsuitor_match(total, edges, std::vector<std::uint32_t>(total, 1));
+            const double opt = -hungarian_min_cost(n, n, neg_benefit).total_cost;
+            EXPECT_GE(approx.total_weight, 0.5 * opt - 1e-9)
+                << "density " << density << " seed " << seed;
+            EXPECT_LE(approx.total_weight, opt + 1e-9);
+
+            const RowMatchResult matched = best_row_permutation(block, map, w);
+            for (std::uint16_t r = 0; r < n; ++r) {
+                if (approx.partners[r].empty()) continue;
+                EXPECT_EQ(matched.perm[r],
+                          faulty_rows[approx.partners[r].front() - n]);
+            }
+        }
+    }
 }
 
 }  // namespace
