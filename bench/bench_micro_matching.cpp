@@ -71,7 +71,7 @@ void BM_RowPermutationBSuitor(benchmark::State& state) {
         benchmark::DoNotOptimize(best_row_permutation(block, map));
     }
 }
-BENCHMARK(BM_RowPermutationBSuitor)->Arg(1)->Arg(3)->Arg(5);
+BENCHMARK(BM_RowPermutationBSuitor)->Arg(1)->Arg(3)->Arg(5)->Arg(10)->Arg(20);
 
 void BM_RowPermutationExact(benchmark::State& state) {
     const double density = static_cast<double>(state.range(0)) / 100.0;

@@ -440,12 +440,13 @@ std::size_t FaultyHardware::arrival_checkpoint(double uniform_quantum,
     std::vector<std::size_t> touched;
     std::vector<std::size_t>* touched_out = online() ? &touched : nullptr;
     if (uniform_quantum > 0.0)
-        arrived += accelerator_.inject_post_deployment_faults(
-            uniform_quantum, faults.post_sa1_fraction, wear_rng_, touched_out);
-    if (faults.soft_error_rate > 0.0)
-        arrived += accelerator_.inject_soft_faults(
-            faults.soft_error_rate, faults.post_sa1_fraction, wear_rng_,
+        arrived += accelerator_.inject_fault_arrivals(
+            uniform_quantum, faults.post_sa1_fraction, wear_rng_, /*soft=*/false,
             touched_out);
+    if (faults.soft_error_rate > 0.0)
+        arrived += accelerator_.inject_fault_arrivals(
+            faults.soft_error_rate, faults.post_sa1_fraction, wear_rng_,
+            /*soft=*/true, touched_out);
     const std::vector<WornCell> worn = wear_model_.advance(accelerator_);
     arrived += worn.size();
     if (online()) {

@@ -6,6 +6,9 @@
 // (Algorithm 1 line 5): exact Hungarian matching would cost O(n^3) per
 // (block, crossbar) pair, while b-Suitor is near-linear in the number of
 // candidate edges and guarantees at least half the optimal weight.
+// best_row_permutation runs its own bipartite single-slot kernel with this
+// function's processing order; this general version is the oracle its
+// tests compare against.
 #pragma once
 
 #include <cstdint>

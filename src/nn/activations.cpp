@@ -6,20 +6,26 @@
 
 namespace fare {
 
+// Both write every output element once through a select: no copy first, no
+// conditional store. `v > 0 ? v : 0` maps -0 and NaN to +0 (std::max would
+// not), and `!(pre <= 0) ? g : 0` keeps the gradient under a NaN
+// pre-activation.
 Matrix relu(const Matrix& x) {
-    Matrix y = x;
-    for (auto& v : y.flat()) v = v > 0.0f ? v : 0.0f;
+    Matrix y = Matrix::uninitialized(x.rows(), x.cols());
+    const auto in = x.flat();
+    const auto out = y.flat();
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = in[i] > 0.0f ? in[i] : 0.0f;
     return y;
 }
 
 Matrix relu_backward(const Matrix& grad, const Matrix& pre) {
     FARE_CHECK(grad.rows() == pre.rows() && grad.cols() == pre.cols(),
                "relu_backward shape mismatch");
-    Matrix g = grad;
-    auto p = pre.flat();
-    auto out = g.flat();
-    for (std::size_t i = 0; i < out.size(); ++i)
-        if (p[i] <= 0.0f) out[i] = 0.0f;
+    Matrix g = Matrix::uninitialized(grad.rows(), grad.cols());
+    const auto gin = grad.flat();
+    const auto p = pre.flat();
+    const auto out = g.flat();
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = !(p[i] <= 0.0f) ? gin[i] : 0.0f;
     return g;
 }
 

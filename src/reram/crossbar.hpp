@@ -22,6 +22,8 @@
 
 namespace fare {
 
+class Rng;
+
 class Crossbar {
 public:
     Crossbar(std::uint16_t rows, std::uint16_t cols);
@@ -32,6 +34,11 @@ public:
     /// Attach / replace the fault overlay (e.g. after wear).
     void set_fault_map(FaultMap map);
     const FaultMap& fault_map() const { return faults_; }
+
+    /// Fault arrival in place: inject_additional_faults on this crossbar's
+    /// map. Returns the number of faults placed.
+    std::size_t add_random_faults(double added_density, double sa1_fraction,
+                                  Rng& rng, bool soft);
 
     /// Program one cell with a 2-bit level. Counts one write; stuck cells
     /// ignore the write.
@@ -52,6 +59,12 @@ public:
     /// a hard fault survives the pulse train. Returns true iff the cell is
     /// healthy afterwards.
     bool reform(std::uint16_t row, std::uint16_t col, std::uint32_t pulses);
+
+    /// Charge `count` program() writes to every cell without changing the
+    /// stored levels: the per-cell counters advance as if each cell were
+    /// programmed `count` times (a march test that rewrites every cell and
+    /// then restores it).
+    void charge_cell_writes(std::uint32_t count);
 
     /// Charge `count` array-level writes: every cell's endurance counter
     /// advances by `count` without changing stored levels. O(1) — this is

@@ -71,6 +71,13 @@ FaultMap FaultMap::without_columns(const std::vector<bool>& columns) const {
     return out;
 }
 
+FaultMap FaultMap::without_soft_flags() const {
+    FaultMap out = *this;
+    std::fill(out.soft_.begin(), out.soft_.end(), Word{0});
+    out.num_soft_ = 0;
+    return out;
+}
+
 double FaultMap::fault_density() const {
     const std::size_t cells = static_cast<std::size_t>(rows_) * cols_;
     if (cells == 0) return 0.0;
@@ -116,32 +123,37 @@ std::vector<FaultMap> inject_faults(std::size_t num_crossbars, std::uint16_t row
     return maps;
 }
 
+std::size_t inject_additional_faults(FaultMap& map, double added_density,
+                                     double sa1_fraction, Rng& rng, bool soft) {
+    FARE_CHECK(added_density >= 0.0 && added_density <= 1.0,
+               "added density must lie in [0,1]");
+    const std::size_t cells = static_cast<std::size_t>(map.rows()) * map.cols();
+    const double mean = added_density * static_cast<double>(cells);
+    std::size_t count = static_cast<std::size_t>(rng.next_poisson(mean));
+    count = std::min(count, cells - map.num_faults());
+    std::size_t placed = 0;
+    std::size_t attempts = 0;
+    const std::size_t max_attempts = cells * 4;
+    while (placed < count && attempts++ < max_attempts) {
+        const auto r = static_cast<std::uint16_t>(rng.next_below(map.rows()));
+        const auto c = static_cast<std::uint16_t>(rng.next_below(map.cols()));
+        if (map.is_faulty(r, c)) continue;
+        const FaultType t =
+            rng.next_bool(sa1_fraction) ? FaultType::kSA1 : FaultType::kSA0;
+        map.add(r, c, t, soft);
+        ++placed;
+    }
+    return placed;
+}
+
 std::size_t inject_additional_faults(std::vector<FaultMap>& maps,
                                      double added_density, double sa1_fraction,
                                      Rng& rng, bool soft,
                                      std::vector<std::size_t>* touched) {
-    FARE_CHECK(added_density >= 0.0 && added_density <= 1.0,
-               "added density must lie in [0,1]");
     std::size_t total_placed = 0;
     for (std::size_t m = 0; m < maps.size(); ++m) {
-        auto& map = maps[m];
-        const std::size_t cells =
-            static_cast<std::size_t>(map.rows()) * map.cols();
-        const double mean = added_density * static_cast<double>(cells);
-        std::size_t count = static_cast<std::size_t>(rng.next_poisson(mean));
-        count = std::min(count, cells - map.num_faults());
-        std::size_t placed = 0;
-        std::size_t attempts = 0;
-        const std::size_t max_attempts = cells * 4;
-        while (placed < count && attempts++ < max_attempts) {
-            const auto r = static_cast<std::uint16_t>(rng.next_below(map.rows()));
-            const auto c = static_cast<std::uint16_t>(rng.next_below(map.cols()));
-            if (map.is_faulty(r, c)) continue;
-            const FaultType t =
-                rng.next_bool(sa1_fraction) ? FaultType::kSA1 : FaultType::kSA0;
-            map.add(r, c, t, soft);
-            ++placed;
-        }
+        const std::size_t placed =
+            inject_additional_faults(maps[m], added_density, sa1_fraction, rng, soft);
         if (placed > 0 && touched != nullptr) touched->push_back(m);
         total_placed += placed;
     }

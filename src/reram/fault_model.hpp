@@ -12,6 +12,7 @@
 #include <bit>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -43,6 +44,9 @@ struct CellFault {
 /// columns (OnlineToleranceEngine::repaired_map) both drop faults through it.
 class FaultMap {
 public:
+    using Word = std::uint64_t;
+    static constexpr std::size_t kWordBits = 64;
+
     FaultMap() = default;
     FaultMap(std::uint16_t rows, std::uint16_t cols);
 
@@ -73,6 +77,20 @@ public:
         return (soft_[word(row, col)] & bit(col)) != 0;
     }
 
+    /// Words per row in each plane: ceil(cols / 64).
+    std::size_t words_per_row() const { return words_; }
+
+    /// Row `row` of the SA0 / SA1 plane (words_per_row() words, layout as
+    /// above): word-parallel readers AND them against their own bit rows.
+    std::span<const Word> sa0_row(std::uint16_t row) const {
+        FARE_DCHECK(row < rows_, "row out of range");
+        return {sa0_.data() + static_cast<std::size_t>(row) * words_, words_};
+    }
+    std::span<const Word> sa1_row(std::uint16_t row) const {
+        FARE_DCHECK(row < rows_, "row out of range");
+        return {sa1_.data() + static_cast<std::size_t>(row) * words_, words_};
+    }
+
     /// Call fn(CellFault) for every fault of one row, in ascending column
     /// order.
     template <typename Fn>
@@ -100,6 +118,10 @@ public:
     /// flag per column). Soft flags of the kept faults are kept.
     FaultMap without_columns(const std::vector<bool>& columns) const;
 
+    /// This map with every soft flag cleared: what a march test detects,
+    /// since a soft stuck-at reads exactly like a hard one.
+    FaultMap without_soft_flags() const;
+
     std::size_t num_faults() const { return num_sa0_ + num_sa1_; }
     std::size_t num_sa0() const { return num_sa0_; }
     std::size_t num_sa1() const { return num_sa1_; }
@@ -109,9 +131,6 @@ public:
     double fault_density() const;
 
 private:
-    using Word = std::uint64_t;
-    static constexpr std::size_t kWordBits = 64;
-
     std::size_t word(std::uint16_t r, std::uint16_t c) const {
         FARE_DCHECK(r < rows_ && c < cols_, "fault position out of range");
         return static_cast<std::size_t>(r) * words_ + c / kWordBits;
@@ -148,11 +167,16 @@ std::vector<FaultMap> inject_faults(std::size_t num_crossbars, std::uint16_t row
                                     std::uint16_t cols,
                                     const FaultInjectionConfig& config);
 
-/// Add post-deployment faults on top of existing maps: `added_density` more
-/// of each crossbar's cells become faulty (skipping already-faulty cells).
-/// Returns the number of faults placed. `soft` marks the placed faults as
-/// re-formable; when `touched` is non-null, the indices of maps that gained
-/// at least one fault are appended to it.
+/// Add post-deployment faults on top of one map: `added_density` more of its
+/// cells become faulty (skipping already-faulty cells). Returns the number of
+/// faults placed; `soft` marks them as re-formable.
+std::size_t inject_additional_faults(FaultMap& map, double added_density,
+                                     double sa1_fraction, Rng& rng,
+                                     bool soft = false);
+
+/// The same on every map in order, drawing from one stream. When `touched`
+/// is non-null, the indices of maps that gained at least one fault are
+/// appended to it.
 std::size_t inject_additional_faults(std::vector<FaultMap>& maps,
                                      double added_density, double sa1_fraction,
                                      Rng& rng, bool soft = false,

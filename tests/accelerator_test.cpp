@@ -89,9 +89,40 @@ TEST(AcceleratorTest, PostDeploymentGrowsFaults) {
     acc.inject_pre_deployment_faults(cfg);
     const double before = mean_fault_density(acc.true_fault_maps());
     Rng rng(9);
-    acc.inject_post_deployment_faults(0.02, 0.1, rng);
+    acc.inject_fault_arrivals(0.02, 0.1, rng, /*soft=*/false);
     const double after = mean_fault_density(acc.true_fault_maps());
     EXPECT_GT(after, before + 0.005);
+}
+
+TEST(AcceleratorTest, FaultArrivalsInPlaceMatchTheMapCopies) {
+    // Adding faults to each crossbar's map in place draws the stream in the
+    // same order as inject_additional_faults over copies of the maps.
+    for (const bool soft : {false, true}) {
+        Accelerator acc(small_config());
+        FaultInjectionConfig cfg;
+        cfg.density = 0.02;
+        cfg.seed = 7;
+        acc.inject_pre_deployment_faults(cfg);
+        std::vector<FaultMap> copies = acc.true_fault_maps();
+        Rng in_place_rng(9), copy_rng(9);
+        std::vector<std::size_t> in_place_touched, copy_touched;
+        const std::size_t added = acc.inject_fault_arrivals(
+            0.001, 0.3, in_place_rng, soft, &in_place_touched);
+        EXPECT_EQ(added, inject_additional_faults(copies, 0.001, 0.3, copy_rng, soft,
+                                                  &copy_touched));
+        EXPECT_GT(added, 0u);
+        EXPECT_EQ(in_place_touched, copy_touched);
+        EXPECT_EQ(in_place_rng.next_u64(), copy_rng.next_u64());
+        for (std::size_t i = 0; i < copies.size(); ++i) {
+            const FaultMap& got = acc.crossbar(i).fault_map();
+            ASSERT_EQ(got.num_faults(), copies[i].num_faults());
+            EXPECT_EQ(got.num_soft(), copies[i].num_soft());
+            copies[i].for_each_fault([&](const CellFault& f) {
+                EXPECT_EQ(got.at(f.row, f.col), f.type);
+                EXPECT_EQ(got.is_soft(f.row, f.col), copies[i].is_soft(f.row, f.col));
+            });
+        }
+    }
 }
 
 TEST(AcceleratorTest, AreaAndPowerRollUp) {

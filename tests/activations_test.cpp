@@ -25,6 +25,23 @@ TEST(ActivationsTest, ReluBackwardMasksByPreActivation) {
     EXPECT_FLOAT_EQ(g(0, 1), 3.0f);
 }
 
+TEST(ActivationsTest, ReluSignedZeroAndNaN) {
+    const float nan = std::nanf("");
+    const Matrix y = relu(Matrix{{-0.0f, nan, -2.0f}});
+    for (std::size_t c = 0; c < 3; ++c) {
+        EXPECT_EQ(y(0, c), 0.0f) << c;
+        EXPECT_FALSE(std::signbit(y(0, c))) << c;  // +0, never -0
+    }
+    // A NaN pre-activation keeps the gradient (it is not <= 0); +-0 zeroes it.
+    const Matrix g = relu_backward(Matrix{{5.0f, 5.0f, 5.0f, -0.0f}},
+                                   Matrix{{nan, -0.0f, 0.0f, 1.0f}});
+    EXPECT_EQ(g(0, 0), 5.0f);
+    EXPECT_EQ(g(0, 1), 0.0f);
+    EXPECT_FALSE(std::signbit(g(0, 1)));
+    EXPECT_EQ(g(0, 2), 0.0f);
+    EXPECT_TRUE(std::signbit(g(0, 3)));  // the gradient passes through as is
+}
+
 TEST(ActivationsTest, LeakyReluSlope) {
     EXPECT_FLOAT_EQ(leaky_relu_scalar(-2.0f, 0.2f), -0.4f);
     EXPECT_FLOAT_EQ(leaky_relu_scalar(2.0f, 0.2f), 2.0f);

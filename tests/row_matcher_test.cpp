@@ -229,6 +229,109 @@ TEST(RowMatcherTest, OracleAtCrossbarBlockSize) {
         << std::hex << "digest 0x" << digest;
 }
 
+/// best_row_permutation as built on the generic bsuitor_match over a
+/// WeightedEdge list, with costs walked fault by fault: the oracle that the
+/// bipartite suitor kernel must reproduce exactly.
+RowMatchResult generic_row_permutation(const BinaryBlock& block, const FaultMap& map,
+                                       const RowMatchWeights& w) {
+    const std::uint16_t n = block.size;
+    const std::uint16_t phys = map.rows();
+    std::vector<double> base(phys, 0.0);
+    std::vector<std::uint16_t> faulty_rows;
+    for (std::uint16_t p = 0; p < phys; ++p) {
+        map.for_each_fault_in_row(p, [&](const CellFault& f) {
+            if (f.col < n) base[p] += f.type == FaultType::kSA1 ? w.sa1 : w.sa0;
+        });
+        if (base[p] > 0.0) faulty_rows.push_back(p);
+    }
+    std::vector<WeightedEdge> edges;
+    for (std::size_t fi = 0; fi < faulty_rows.size(); ++fi) {
+        const std::uint16_t p = faulty_rows[fi];
+        for (std::uint16_t r = 0; r < n; ++r) {
+            const double benefit = base[p] - mapping_cost_row(block, map, r, p, w);
+            if (benefit > 0.0)
+                edges.push_back({r, static_cast<std::uint32_t>(n + fi), benefit});
+        }
+    }
+    const auto total = static_cast<std::uint32_t>(n + faulty_rows.size());
+    const BMatching matching =
+        bsuitor_match(total, edges, std::vector<std::uint32_t>(total, 1));
+
+    RowMatchResult result;
+    result.perm.assign(n, 0);
+    std::vector<bool> log_used(n, false), phys_used(phys, false);
+    for (std::uint16_t r = 0; r < n; ++r) {
+        const auto& partners = matching.partners[r];
+        if (partners.empty()) continue;
+        const std::uint16_t p = faulty_rows[partners.front() - n];
+        result.perm[r] = p;
+        log_used[r] = true;
+        phys_used[p] = true;
+    }
+    std::vector<std::uint16_t> free_phys;
+    for (std::uint16_t p = 0; p < phys; ++p)
+        if (!phys_used[p]) free_phys.push_back(p);
+    std::sort(free_phys.begin(), free_phys.end(), [&](std::uint16_t a, std::uint16_t b) {
+        if (base[a] != base[b]) return base[a] < base[b];
+        return a < b;
+    });
+    std::size_t next = 0;
+    for (std::uint16_t r = 0; r < n; ++r)
+        if (!log_used[r]) result.perm[r] = free_phys[next++];
+
+    std::size_t sa1_inserts = 0;
+    for (std::uint16_t r = 0; r < n; ++r) {
+        result.cost += mapping_cost_row(block, map, r, result.perm[r], w);
+        map.for_each_fault_in_row(result.perm[r], [&](const CellFault& f) {
+            if (f.col < n && f.type == FaultType::kSA1 && block.at(r, f.col) == 0)
+                ++sa1_inserts;
+        });
+    }
+    result.sa1_nonoverlap = static_cast<double>(sa1_inserts);
+    return result;
+}
+
+/// The bipartite suitor kernel against the generic oracle: the same
+/// permutation, the same cost bits and the same SA1 count, for blocks
+/// narrower than the 128-row crossbar, fault densities up to 30%, integer
+/// and non-integer weights (the last exercises the floating-point order),
+/// and all-zero / all-one blocks.
+TEST(RowMatcherTest, SuitorKernelMatchesGenericOracle) {
+    const std::vector<RowMatchWeights> weight_sets = {{1.0, 4.0}, {1.0, 1.0}, {0.3, 1.7}};
+    int instances = 0;
+    for (const std::uint16_t n : {64, 100, 128}) {
+        for (const double density : {0.0, 0.01, 0.10, 0.30}) {
+            for (const double sa1 : {0.1, 0.5}) {
+                Rng rng(static_cast<std::uint64_t>(n) * 1000 +
+                        static_cast<std::uint64_t>(density * 100) * 10 +
+                        static_cast<std::uint64_t>(sa1 * 10));
+                const FaultMap map = random_map(128, density, sa1, rng);
+                std::vector<BinaryBlock> blocks = {random_block(n, 0.05, rng),
+                                                   random_block(n, 0.4, rng),
+                                                   random_block(n, 0.0, rng),
+                                                   random_block(n, 1.0, rng)};
+                for (const BinaryBlock& block : blocks) {
+                    for (const RowMatchWeights& w : weight_sets) {
+                        const RowMatchResult got = best_row_permutation(block, map, w);
+                        const RowMatchResult want = generic_row_permutation(block, map, w);
+                        SCOPED_TRACE(::testing::Message()
+                                     << "n " << n << " density " << density << " sa1 "
+                                     << sa1 << " weights " << w.sa0 << "/" << w.sa1);
+                        EXPECT_EQ(got.perm, want.perm);
+                        std::uint64_t got_bits = 0, want_bits = 0;
+                        std::memcpy(&got_bits, &got.cost, sizeof(got_bits));
+                        std::memcpy(&want_bits, &want.cost, sizeof(want_bits));
+                        EXPECT_EQ(got_bits, want_bits);
+                        EXPECT_EQ(got.sa1_nonoverlap, want.sa1_nonoverlap);
+                        ++instances;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(instances, 3 * 4 * 2 * 4 * 3);
+}
+
 /// b-Suitor's half-approximation bound on the benefit graph the matcher
 /// solves at crossbar height: logical rows [0, n) against faulty physical
 /// rows, benefit(r, p) = C_p - cost(r, p), where C_p is the cost of row p
