@@ -62,20 +62,14 @@ private:
 };
 
 /// Mismatch costs of a packed block's rows on the rows of one fault map.
-/// Every cost is a sum of w.sa0 / w.sa1 terms, one per flagged fault, and
-/// the fault-by-fault walk adds them in ascending column order. With integer
-/// weights of magnitude at most 2^32 every partial sum of a row's (at most
-/// 2^16) terms is an exactly representable integer, so the sum does not
-/// depend on the order and is computed from two popcounts; any other
-/// weights walk the flagged bits in column order, making the same additions
-/// as the fault walk. Either way the result is bit-identical to it.
+/// Every cost is a sum of w.sa0 / w.sa1 terms, one per flagged fault, added
+/// in ascending column order: walking the flagged bits word by word makes
+/// the same floating-point additions as a fault-by-fault walk, so the result
+/// is bit-identical to it for any weights.
 class RowCosts {
 public:
     RowCosts(const PackedBlock& block, const FaultMap& map, const RowMatchWeights& w)
-        : block_(block),
-          map_(map),
-          w_(w),
-          by_count_(is_small_integer(w.sa0) && is_small_integer(w.sa1)) {}
+        : block_(block), map_(map), w_(w) {}
 
     /// cost(r, p): SA0 under a stored 1 and SA1 under a stored 0 mismatch.
     double operator()(std::uint16_t r, std::uint16_t p) const {
@@ -113,25 +107,11 @@ public:
     }
 
 private:
-    static bool is_small_integer(double x) {
-        return std::trunc(x) == x && std::abs(x) <= 0x1p32;
-    }
-
     /// Sum over the faults of row p flagged in (sa0 & a(k)) | (sa1 & b(k)).
     template <typename A, typename B>
     double sum(std::uint16_t p, A a, B b) const {
         const auto sa0 = map_.sa0_row(p);
         const auto sa1 = map_.sa1_row(p);
-        if (by_count_) {
-            std::int64_t n0 = 0, n1 = 0;
-            for (std::size_t k = 0; k < sa0.size(); ++k) {
-                n0 += std::popcount(sa0[k] & a(k));
-                n1 += std::popcount(sa1[k] & b(k));
-            }
-            // 0.0 + ... keeps an all-zero sum at +0.0, as the walk gives.
-            return (0.0 + w_.sa0 * static_cast<double>(n0)) +
-                   w_.sa1 * static_cast<double>(n1);
-        }
         double total = 0.0;
         for (std::size_t k = 0; k < sa0.size(); ++k) {
             const Word ones = sa1[k] & b(k);
@@ -144,7 +124,6 @@ private:
     const PackedBlock& block_;
     const FaultMap& map_;
     RowMatchWeights w_;
-    bool by_count_;
 };
 
 /// Position of one vertex in its candidate order (weight desc, partner

@@ -8,10 +8,11 @@ BistResult bist_scan(Crossbar& xbar) {
     // below max is SA0), then rewrites the saved contents. Its outcome
     // follows from the fault overlay without stepping it: the detected map
     // is the SA0/SA1 planes (a soft stuck-at reads like a hard one), every
-    // cell takes three writes, and the stored levels end as they began.
+    // cell takes three writes (an array-level charge), and the stored levels
+    // end as they began.
     BistResult result;
     result.detected = xbar.fault_map().without_soft_flags();
-    xbar.charge_cell_writes(3);
+    xbar.add_uniform_writes(3);
     // 2 passes x (write + read) + the restore write, per cell.
     result.cell_ops = 5ull * xbar.rows() * xbar.cols();
     return result;

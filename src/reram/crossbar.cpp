@@ -33,14 +33,6 @@ void Crossbar::program(std::uint16_t row, std::uint16_t col, std::uint8_t level)
     cells_[index(row, col)] = level;  // stuck cells keep their stored value
 }
 
-void Crossbar::charge_cell_writes(std::uint32_t count) {
-    writes_ += static_cast<std::uint64_t>(count) * cell_writes_.size();
-    for (std::uint32_t& cell : cell_writes_) {
-        cell += count;
-        if (cell > max_cell_extra_) max_cell_extra_ = cell;
-    }
-}
-
 void Crossbar::program_row(std::uint16_t row, const std::vector<std::uint8_t>& levels) {
     FARE_CHECK(levels.size() == cols_, "row width mismatch");
     for (std::uint16_t c = 0; c < cols_; ++c) program(row, c, levels[c]);

@@ -60,16 +60,11 @@ public:
     /// healthy afterwards.
     bool reform(std::uint16_t row, std::uint16_t col, std::uint32_t pulses);
 
-    /// Charge `count` program() writes to every cell without changing the
-    /// stored levels: the per-cell counters advance as if each cell were
-    /// programmed `count` times (a march test that rewrites every cell and
-    /// then restores it).
-    void charge_cell_writes(std::uint32_t count);
-
     /// Charge `count` array-level writes: every cell's endurance counter
     /// advances by `count` without changing stored levels. O(1) — this is
     /// the per-training-step accounting hook (the functional simulator does
-    /// not re-program crossbars cell by cell in the hot loop).
+    /// not re-program crossbars cell by cell in the hot loop) and BIST's
+    /// march charge.
     void add_uniform_writes(std::uint64_t count) { uniform_writes_ += count; }
 
     /// Accumulated writes of one cell: per-cell program() writes plus the

@@ -146,20 +146,6 @@ std::size_t inject_additional_faults(FaultMap& map, double added_density,
     return placed;
 }
 
-std::size_t inject_additional_faults(std::vector<FaultMap>& maps,
-                                     double added_density, double sa1_fraction,
-                                     Rng& rng, bool soft,
-                                     std::vector<std::size_t>* touched) {
-    std::size_t total_placed = 0;
-    for (std::size_t m = 0; m < maps.size(); ++m) {
-        const std::size_t placed =
-            inject_additional_faults(maps[m], added_density, sa1_fraction, rng, soft);
-        if (placed > 0 && touched != nullptr) touched->push_back(m);
-        total_placed += placed;
-    }
-    return total_placed;
-}
-
 FaultMap repair_worst_columns(const FaultMap& map, std::size_t num_spares,
                               double sa1_weight) {
     // Rank columns by weighted fault count.

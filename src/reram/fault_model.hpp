@@ -174,14 +174,6 @@ std::size_t inject_additional_faults(FaultMap& map, double added_density,
                                      double sa1_fraction, Rng& rng,
                                      bool soft = false);
 
-/// The same on every map in order, drawing from one stream. When `touched`
-/// is non-null, the indices of maps that gained at least one fault are
-/// appended to it.
-std::size_t inject_additional_faults(std::vector<FaultMap>& maps,
-                                     double added_density, double sa1_fraction,
-                                     Rng& rng, bool soft = false,
-                                     std::vector<std::size_t>* touched = nullptr);
-
 /// Aggregate density over a set of crossbars.
 double mean_fault_density(const std::vector<FaultMap>& maps);
 

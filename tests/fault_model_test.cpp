@@ -272,7 +272,7 @@ TEST(InjectTest, PostDeploymentAddsOnTop) {
     auto maps = inject_faults(16, 128, 128, cfg);
     const double before = mean_fault_density(maps);
     Rng rng(10);
-    inject_additional_faults(maps, 0.01, 0.1, rng);
+    for (FaultMap& map : maps) inject_additional_faults(map, 0.01, 0.1, rng);
     const double after = mean_fault_density(maps);
     EXPECT_NEAR(after - before, 0.01, 0.004);
 }

@@ -156,7 +156,7 @@ TEST(MapperTest, RepermuteKeepsAssignment) {
 
     // Post-deployment wear: add faults, then repermute rows only.
     Rng wear(13);
-    inject_additional_faults(pool, 0.02, 0.3, wear);
+    for (FaultMap& map : pool) inject_additional_faults(map, 0.02, 0.3, wear);
     mapper.repermute(mapping, adj, pool);
     std::vector<std::size_t> after;
     for (const auto& a : mapping.assignments) after.push_back(a.crossbar_index);
