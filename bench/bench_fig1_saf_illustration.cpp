@@ -41,12 +41,13 @@ int main() {
                  "explosion); the same fault at the LSB slice is negligible.\n\n";
 
     std::cout << "=== Fig. 1(b): SAFs in a binary adjacency block ===\n\n";
-    BinaryBlock block;
-    block.size = 4;
-    block.bits = {1, 0, 0, 0,
-                  0, 1, 1, 0,
-                  1, 0, 0, 1,
-                  0, 0, 0, 0};
+    const std::uint8_t ideal[4][4] = {{1, 0, 0, 0},
+                                      {0, 1, 1, 0},
+                                      {1, 0, 0, 1},
+                                      {0, 0, 0, 0}};
+    BinaryBlock block(4);
+    for (std::uint16_t r = 0; r < 4; ++r)
+        for (std::uint16_t c = 0; c < 4; ++c) block.set(r, c, ideal[r][c]);
     FaultMap map(4, 4);
     map.add(0, 3, FaultType::kSA1);  // inserts an edge
     map.add(2, 0, FaultType::kSA0);  // deletes an edge
@@ -55,9 +56,9 @@ int main() {
 
     auto print_block = [](const char* title, const BinaryBlock& b) {
         std::cout << title << '\n';
-        for (std::uint16_t r = 0; r < b.size; ++r) {
+        for (std::uint16_t r = 0; r < b.size(); ++r) {
             std::cout << "  ";
-            for (std::uint16_t c = 0; c < b.size; ++c)
+            for (std::uint16_t c = 0; c < b.size(); ++c)
                 std::cout << static_cast<int>(b.at(r, c)) << ' ';
             std::cout << '\n';
         }

@@ -49,10 +49,9 @@ void BM_HungarianSquare(benchmark::State& state) {
 BENCHMARK(BM_HungarianSquare)->Range(16, 256)->Complexity();
 
 BinaryBlock random_block(std::uint16_t n, double density, Rng& rng) {
-    BinaryBlock b;
-    b.size = n;
-    b.bits.assign(static_cast<std::size_t>(n) * n, 0);
-    for (auto& bit : b.bits) bit = rng.next_bool(density) ? 1 : 0;
+    BinaryBlock b(n);
+    for (std::uint16_t r = 0; r < n; ++r)
+        for (std::uint16_t c = 0; c < n; ++c) b.set(r, c, rng.next_bool(density) ? 1 : 0);
     return b;
 }
 

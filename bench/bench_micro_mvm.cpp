@@ -74,10 +74,9 @@ BENCHMARK(BM_FaultInjection)->Arg(16)->Arg(96);
 
 void BM_AdjacencyCorruption(benchmark::State& state) {
     Rng rng(7);
-    BinaryBlock block;
-    block.size = 128;
-    block.bits.assign(128 * 128, 0);
-    for (auto& b : block.bits) b = rng.next_bool(0.05) ? 1 : 0;
+    BinaryBlock block(128);
+    for (std::uint16_t r = 0; r < 128; ++r)
+        for (std::uint16_t c = 0; c < 128; ++c) block.set(r, c, rng.next_bool(0.05) ? 1 : 0);
     FaultInjectionConfig cfg;
     cfg.density = 0.05;
     cfg.seed = 9;

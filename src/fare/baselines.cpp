@@ -70,10 +70,7 @@ FaultyHardware::FaultyHardware(Scheme scheme, const FaultyHardwareConfig& config
       config_(config),
       accelerator_(AcceleratorConfig{TileSpec{}, config.hw.num_tiles}),
       clipper_(config.hw.clip_threshold),
-      mapper_(MapperConfig{tile().crossbar_rows, config.hw.match_weights,
-                           /*exact_row_matching=*/false,
-                           /*enable_crossbar_removal=*/true,
-                           /*enable_block_removal=*/true}),
+      mapper_(MapperConfig{tile().crossbar_rows, config.hw.match_weights}),
       online_engine_(config.hw.online),
       wear_rng_(config.seed ^ 0xD15EA5EULL),
       noise_rng_(config.seed ^ 0x4015EULL) {
@@ -184,7 +181,7 @@ void FaultyHardware::preprocess(const std::vector<BitMatrix>& batch_adjacency) {
     const auto n = static_cast<std::size_t>(tile().crossbar_rows);
     std::size_t max_blocks = 1;
     for (const auto& adj : batch_adjacency) {
-        const std::size_t grid = (std::max(adj.rows, adj.cols) + n - 1) / n;
+        const std::size_t grid = mapper_.block_grid(adj);
         max_blocks = std::max(max_blocks, grid * grid);
     }
     // Expose the whole remaining crossbar budget to the mapper: fault-aware
@@ -215,7 +212,7 @@ void FaultyHardware::preprocess(const std::vector<BitMatrix>& batch_adjacency) {
         for (std::size_t b = 0; b < batch_adjacency.size(); ++b) {
             const auto& adj = batch_adjacency[b];
             const auto& parts = batch_parts_[b];
-            const std::size_t grid = (std::max(adj.rows, adj.cols) + n - 1) / n;
+            const std::size_t grid = mapper_.block_grid(adj);
             TilePlacement tp;
             tp.crossbars_per_tile = per_tile;
             tp.pool_base = adj_range_.first;

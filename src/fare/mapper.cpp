@@ -1,6 +1,8 @@
 #include "fare/mapper.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <limits>
 #include <numeric>
 
@@ -19,20 +21,43 @@ FaultAwareMapper::FaultAwareMapper(const MapperConfig& config) : config_(config)
     FARE_CHECK(config.block_size > 0, "block size must be positive");
 }
 
+std::size_t FaultAwareMapper::block_grid(const BitMatrix& adj) const {
+    const std::size_t n = config_.block_size;
+    return (std::max(adj.rows, adj.cols) + n - 1) / n;
+}
+
+AdjacencyMapping FaultAwareMapper::empty_mapping(
+    const BitMatrix& adj, const std::vector<FaultMap>& crossbars) const {
+    AdjacencyMapping mapping;
+    mapping.grid = block_grid(adj);
+    FARE_CHECK(crossbars.size() >= mapping.grid * mapping.grid,
+               "need at least as many crossbars as adjacency blocks");
+    return mapping;
+}
+
 BinaryBlock FaultAwareMapper::extract_block(const BitMatrix& adj, std::size_t bi,
                                             std::size_t bj) const {
     const std::uint16_t n = config_.block_size;
-    BinaryBlock block;
-    block.size = n;
-    block.bits.assign(static_cast<std::size_t>(n) * n, 0);
-    for (std::uint16_t r = 0; r < n; ++r) {
-        const std::size_t src_r = bi * n + r;
-        if (src_r >= adj.rows) break;
-        for (std::uint16_t c = 0; c < n; ++c) {
-            const std::size_t src_c = bj * n + c;
-            if (src_c >= adj.cols) break;
-            block.set(r, c, adj.at(src_r, src_c));
+    BinaryBlock block(n);
+    const std::size_t c0 = bj * n;
+    const std::size_t cols = c0 < adj.cols ? std::min<std::size_t>(n, adj.cols - c0) : 0;
+    // Eight 0/1 bytes at a time: the multiply gathers byte i's low bit into
+    // bit 56 + i (little-endian load).
+    static_assert(std::endian::native == std::endian::little);
+    constexpr std::uint64_t kGather = 0x0102040810204080ull;
+    for (std::uint16_t r = 0; r < n && bi * n + r < adj.rows; ++r) {
+        const std::uint8_t* src = adj.bits.data() + (bi * n + r) * adj.cols + c0;
+        const auto row = block.row(r);
+        std::size_t c = 0;
+        for (; c + 8 <= cols; c += 8) {
+            std::uint64_t bytes = 0;
+            std::memcpy(&bytes, src + c, sizeof(bytes));
+            row[c / FaultMap::kWordBits] |= ((bytes * kGather) >> 56)
+                                            << (c % FaultMap::kWordBits);
         }
+        for (; c < cols; ++c)
+            row[c / FaultMap::kWordBits] |= BinaryBlock::Word{src[c]}
+                                            << (c % FaultMap::kWordBits);
     }
     return block;
 }
@@ -47,24 +72,17 @@ RowMatchResult FaultAwareMapper::match_rows(const BinaryBlock& block,
 AdjacencyMapping FaultAwareMapper::map_batch(
     const BitMatrix& adj, const std::vector<FaultMap>& crossbars,
     const TilePlacement* placement) const {
-    const std::uint16_t n = config_.block_size;
-    AdjacencyMapping mapping;
-    mapping.grid = (std::max(adj.rows, adj.cols) + n - 1) / n;
-    mapping.matrix_size = mapping.grid * n;
+    AdjacencyMapping mapping = empty_mapping(adj, crossbars);
     const std::size_t b_total = mapping.grid * mapping.grid;
 
-    // Extract all blocks and their edge densities.
+    // Extract all blocks, row-major, and their edge densities.
     std::vector<BinaryBlock> blocks;
-    blocks.reserve(b_total);
-    for (std::size_t bi = 0; bi < mapping.grid; ++bi)
-        for (std::size_t bj = 0; bj < mapping.grid; ++bj)
-            blocks.push_back(extract_block(adj, bi, bj));
-    std::vector<double> density(b_total);
-    for (std::size_t i = 0; i < b_total; ++i) density[i] = blocks[i].edge_density();
+    std::vector<double> density;
+    for (std::size_t i = 0; i < b_total; ++i) {
+        blocks.push_back(extract_block(adj, i / mapping.grid, i % mapping.grid));
+        density.push_back(blocks.back().edge_density());
+    }
     const double min_density = *std::min_element(density.begin(), density.end());
-
-    FARE_CHECK(crossbars.size() >= b_total,
-               "need at least as many crossbars as adjacency blocks");
 
     // cost(i, j) for every block x crossbar pair, via row matching.
     std::vector<std::size_t> live_blocks(b_total);
@@ -103,30 +121,25 @@ AdjacencyMapping FaultAwareMapper::map_batch(
     // compatible block cannot overlap crossbar j's SA1 faults down to the
     // sparsest block's edge density, exclude the crossbar — worst offenders
     // first, but never below one crossbar per block.
-    if (config_.enable_crossbar_removal) {
-        const double cells = static_cast<double>(n) * static_cast<double>(n);
-        std::vector<std::pair<double, std::size_t>> candidates;  // (nonoverlap, j)
-        for (std::size_t j : live_xbars) {
-            double min_nonoverlap = std::numeric_limits<double>::infinity();
-            for (std::size_t i : live_blocks)
-                min_nonoverlap =
-                    std::min(min_nonoverlap, results[i * m + j].sa1_nonoverlap);
-            if (min_nonoverlap / cells > min_density)
-                candidates.emplace_back(min_nonoverlap, j);
-        }
-        std::sort(candidates.rbegin(), candidates.rend());
-        const std::size_t max_removals = live_xbars.size() - live_blocks.size();
-        if (candidates.size() > max_removals) candidates.resize(max_removals);
-        for (const auto& [nonoverlap, j] : candidates) {
-            mapping.removed_crossbars.push_back(j);
-            live_xbars.erase(std::find(live_xbars.begin(), live_xbars.end(), j));
-        }
+    const double cells = static_cast<double>(config_.block_size) * config_.block_size;
+    std::vector<std::pair<double, std::size_t>> candidates;  // (nonoverlap, j)
+    for (std::size_t j : live_xbars) {
+        double min_nonoverlap = std::numeric_limits<double>::infinity();
+        for (std::size_t i : live_blocks)
+            min_nonoverlap =
+                std::min(min_nonoverlap, results[i * m + j].sa1_nonoverlap);
+        if (min_nonoverlap / cells > min_density)
+            candidates.emplace_back(min_nonoverlap, j);
     }
+    std::sort(candidates.rbegin(), candidates.rend());
+    const std::size_t max_removals = live_xbars.size() - live_blocks.size();
+    if (candidates.size() > max_removals) candidates.resize(max_removals);
+    for (const auto& [nonoverlap, j] : candidates)
+        live_xbars.erase(std::find(live_xbars.begin(), live_xbars.end(), j));
 
     // Block-removal rule (Algorithm 1 line 14): with b = m there is no slack
     // left; drop the sparsest block to the host to regain freedom.
-    if (config_.enable_block_removal && live_blocks.size() == live_xbars.size() &&
-        live_blocks.size() > 1) {
+    if (live_blocks.size() == live_xbars.size() && live_blocks.size() > 1) {
         double min_nonoverlap = std::numeric_limits<double>::infinity();
         for (std::size_t j : live_xbars)
             for (std::size_t i : live_blocks)
@@ -183,18 +196,12 @@ AdjacencyMapping FaultAwareMapper::map_batch(
 
 AdjacencyMapping FaultAwareMapper::map_identity(
     const BitMatrix& adj, const std::vector<FaultMap>& crossbars) const {
-    const std::uint16_t n = config_.block_size;
-    AdjacencyMapping mapping;
-    mapping.grid = (std::max(adj.rows, adj.cols) + n - 1) / n;
-    mapping.matrix_size = mapping.grid * n;
-    const std::size_t b_total = mapping.grid * mapping.grid;
-    FARE_CHECK(crossbars.size() >= b_total,
-               "need at least as many crossbars as adjacency blocks");
-    for (std::size_t i = 0; i < b_total; ++i) {
+    AdjacencyMapping mapping = empty_mapping(adj, crossbars);
+    for (std::size_t i = 0; i < mapping.grid * mapping.grid; ++i) {
         BlockAssignment ba;
         ba.block_index = i;
         ba.crossbar_index = i;
-        ba.row_perm = identity_perm(n);
+        ba.row_perm = identity_perm(config_.block_size);
         ba.cost = mapping_cost(extract_block(adj, i / mapping.grid, i % mapping.grid),
                                crossbars[i], ba.row_perm, config_.weights);
         mapping.assignments.push_back(std::move(ba));
@@ -204,17 +211,11 @@ AdjacencyMapping FaultAwareMapper::map_identity(
 
 AdjacencyMapping FaultAwareMapper::map_row_reorder(
     const BitMatrix& adj, const std::vector<FaultMap>& crossbars) const {
-    const std::uint16_t n = config_.block_size;
-    AdjacencyMapping mapping;
-    mapping.grid = (std::max(adj.rows, adj.cols) + n - 1) / n;
-    mapping.matrix_size = mapping.grid * n;
-    const std::size_t b_total = mapping.grid * mapping.grid;
-    FARE_CHECK(crossbars.size() >= b_total,
-               "need at least as many crossbars as adjacency blocks");
+    AdjacencyMapping mapping = empty_mapping(adj, crossbars);
     // NR treats SA0 and SA1 alike (no criticality weighting) and keeps the
     // identity block-to-crossbar placement.
     RowMatchWeights equal{1.0, 1.0};
-    for (std::size_t i = 0; i < b_total; ++i) {
+    for (std::size_t i = 0; i < mapping.grid * mapping.grid; ++i) {
         const BinaryBlock block =
             extract_block(adj, i / mapping.grid, i % mapping.grid);
         RowMatchResult r = match_rows(block, crossbars[i], equal);
@@ -236,18 +237,11 @@ BitMatrix FaultAwareMapper::apply(const BitMatrix& adj,
     for (const BlockAssignment& ba : mapping.assignments) {
         const std::size_t bi = ba.block_index / mapping.grid;
         const std::size_t bj = ba.block_index % mapping.grid;
-        const BinaryBlock block = extract_block(adj, bi, bj);
-        const BinaryBlock eff =
-            corrupt_adjacency_block(block, crossbars[ba.crossbar_index], ba.row_perm);
-        for (std::uint16_t r = 0; r < n; ++r) {
-            const std::size_t dst_r = bi * n + r;
-            if (dst_r >= out.rows) break;
-            for (std::uint16_t c = 0; c < n; ++c) {
-                const std::size_t dst_c = bj * n + c;
-                if (dst_c >= out.cols) break;
-                out.set(dst_r, dst_c, eff.at(r, c));
-            }
-        }
+        const BinaryBlock eff = corrupt_adjacency_block(
+            extract_block(adj, bi, bj), crossbars[ba.crossbar_index], ba.row_perm);
+        for (std::uint16_t r = 0; r < n && bi * n + r < out.rows; ++r)
+            for (std::uint16_t c = 0; c < n && bj * n + c < out.cols; ++c)
+                out.set(bi * n + r, bj * n + c, eff.at(r, c));
     }
     return out;  // host blocks keep their ideal bits
 }

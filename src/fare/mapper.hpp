@@ -37,8 +37,6 @@ struct MapperConfig {
     std::uint16_t block_size = 128;  ///< n (crossbar rows)
     RowMatchWeights weights;
     bool exact_row_matching = false;  ///< Hungarian instead of b-Suitor
-    bool enable_crossbar_removal = true;
-    bool enable_block_removal = true;
     /// When > 0 and the pool is larger, prune it to this many candidate
     /// crossbars (the cleanest by weighted fault count) before the full
     /// cost-matrix computation — "efficient resource utilization" (§IV-A)
@@ -80,14 +78,11 @@ struct BlockAssignment {
 };
 
 struct AdjacencyMapping {
-    std::size_t matrix_size = 0;  ///< padded N (multiple of block size)
-    std::size_t grid = 0;         ///< blocks per side
+    std::size_t grid = 0;  ///< blocks per side
     std::vector<BlockAssignment> assignments;
     /// Blocks dropped by the block-removal rule; their aggregation runs
     /// fault-free on the host.
     std::vector<std::size_t> host_blocks;
-    /// Crossbars excluded by the removal rule.
-    std::vector<std::size_t> removed_crossbars;
 
     double total_cost() const;
 };
@@ -100,6 +95,9 @@ public:
     void set_max_crossbar_candidates(std::size_t n) {
         config_.max_crossbar_candidates = n;
     }
+
+    /// Blocks per side of the grid `adj` decomposes into.
+    std::size_t block_grid(const BitMatrix& adj) const;
 
     /// Extract block (bi, bj) of `adj`, zero-padded to block_size.
     BinaryBlock extract_block(const BitMatrix& adj, std::size_t bi,
@@ -134,6 +132,10 @@ public:
                    const std::vector<FaultMap>& crossbars) const;
 
 private:
+    /// An unassigned mapping sized for `adj`; checks the pool has a crossbar per block.
+    AdjacencyMapping empty_mapping(const BitMatrix& adj,
+                                   const std::vector<FaultMap>& crossbars) const;
+
     RowMatchResult match_rows(const BinaryBlock& block, const FaultMap& map,
                               const RowMatchWeights& weights) const;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <numeric>
 #include <span>
@@ -17,92 +16,53 @@ namespace {
 
 using Word = FaultMap::Word;
 
-/// The block's rows in FaultMap's row word layout (column c at bit c % 64 of
-/// word c / 64), cut to the columns the block and the crossbar share: a
-/// column outside either never mismatches.
-class PackedBlock {
-public:
-    PackedBlock(const BinaryBlock& block, const FaultMap& map)
-        : words_(map.words_per_row()),
-          bits_(static_cast<std::size_t>(block.size) * words_, 0),
-          colmask_(words_, 0) {
-        const std::uint16_t cols = std::min(block.size, map.cols());
-        for (std::uint16_t c = 0; c < cols; ++c)
-            colmask_[c / FaultMap::kWordBits] |= Word{1} << (c % FaultMap::kWordBits);
-        // Eight 0/1 bytes at a time: the multiply gathers byte i's low bit
-        // into bit 56 + i (little-endian load).
-        static_assert(std::endian::native == std::endian::little);
-        constexpr std::uint64_t kGather = 0x0102040810204080ull;
-        for (std::uint16_t r = 0; r < block.size; ++r) {
-            Word* row = bits_.data() + static_cast<std::size_t>(r) * words_;
-            const std::uint8_t* src =
-                block.bits.data() + static_cast<std::size_t>(r) * block.size;
-            std::uint16_t c = 0;
-            for (; c + 8 <= cols; c += 8) {
-                std::uint64_t bytes = 0;
-                std::memcpy(&bytes, src + c, sizeof(bytes));
-                row[c / FaultMap::kWordBits] |= ((bytes * kGather) >> 56)
-                                                << (c % FaultMap::kWordBits);
-            }
-            for (; c < cols; ++c)
-                row[c / FaultMap::kWordBits] |= Word{src[c]}
-                                                << (c % FaultMap::kWordBits);
-        }
-    }
-
-    std::span<const Word> row(std::uint16_t r) const {
-        return {bits_.data() + static_cast<std::size_t>(r) * words_, words_};
-    }
-    std::span<const Word> colmask() const { return colmask_; }
-
-private:
-    std::size_t words_;
-    std::vector<Word> bits_;
-    std::vector<Word> colmask_;
-};
-
-/// Mismatch costs of a packed block's rows on the rows of one fault map.
-/// Every cost is a sum of w.sa0 / w.sa1 terms, one per flagged fault, added
+/// Mismatch costs of a block's rows on the rows of one fault map, over the
+/// columns the two share: a column outside either never mismatches. Every
+/// cost is a sum of w.sa0 / w.sa1 terms, one per flagged fault, added
 /// in ascending column order: walking the flagged bits word by word makes
 /// the same floating-point additions as a fault-by-fault walk, so the result
 /// is bit-identical to it for any weights.
 class RowCosts {
 public:
-    RowCosts(const PackedBlock& block, const FaultMap& map, const RowMatchWeights& w)
-        : block_(block), map_(map), w_(w) {}
+    RowCosts(const BinaryBlock& block, const FaultMap& map, const RowMatchWeights& w)
+        : block_(block), map_(map), w_(w),
+          colmask_(std::min(block.words_per_row(), map.words_per_row()), 0) {
+        const std::uint16_t cols = std::min(block.size(), map.cols());
+        for (std::uint16_t c = 0; c < cols; ++c)
+            colmask_[c / FaultMap::kWordBits] |= Word{1} << (c % FaultMap::kWordBits);
+    }
+
+    /// Words per row both layouts have; the shared columns lie within them.
+    std::size_t words() const { return colmask_.size(); }
 
     /// cost(r, p): SA0 under a stored 1 and SA1 under a stored 0 mismatch.
     double operator()(std::uint16_t r, std::uint16_t p) const {
         const auto bits = block_.row(r);
-        const auto colmask = block_.colmask();
         return sum(p, [&](std::size_t k) { return bits[k]; },
-                   [&](std::size_t k) { return ~bits[k] & colmask[k]; });
+                   [&](std::size_t k) { return ~bits[k] & colmask_[k]; });
     }
 
     /// C_p: the cost of row p with every fault in the block's columns
     /// mismatching.
     double all_faults(std::uint16_t p) const {
-        const auto colmask = block_.colmask();
-        const auto cols = [&](std::size_t k) { return colmask[k]; };
+        const auto cols = [&](std::size_t k) { return colmask_[k]; };
         return sum(p, cols, cols);
     }
 
     /// The cost of a block row that stores no 1 over any fault of row p:
     /// exactly its SA1 faults mismatch.
     double sa1_faults(std::uint16_t p) const {
-        const auto colmask = block_.colmask();
         return sum(p, [](std::size_t) { return Word{0}; },
-                   [&](std::size_t k) { return colmask[k]; });
+                   [&](std::size_t k) { return colmask_[k]; });
     }
 
     /// Unweighted SA1-inserts-edge mismatches of block row r on row p.
     std::size_t sa1_inserts(std::uint16_t r, std::uint16_t p) const {
         const auto bits = block_.row(r);
-        const auto colmask = block_.colmask();
         const auto sa1 = map_.sa1_row(p);
         std::size_t count = 0;
-        for (std::size_t k = 0; k < bits.size(); ++k)
-            count += static_cast<std::size_t>(std::popcount(sa1[k] & ~bits[k] & colmask[k]));
+        for (std::size_t k = 0; k < words(); ++k)
+            count += static_cast<std::size_t>(std::popcount(sa1[k] & ~bits[k] & colmask_[k]));
         return count;
     }
 
@@ -113,7 +73,7 @@ private:
         const auto sa0 = map_.sa0_row(p);
         const auto sa1 = map_.sa1_row(p);
         double total = 0.0;
-        for (std::size_t k = 0; k < sa0.size(); ++k) {
+        for (std::size_t k = 0; k < words(); ++k) {
             const Word ones = sa1[k] & b(k);
             for (Word m = (sa0[k] & a(k)) | ones; m != 0; m &= m - 1)
                 total += ((ones >> std::countr_zero(m)) & 1u) != 0 ? w_.sa1 : w_.sa0;
@@ -121,9 +81,10 @@ private:
         return total;
     }
 
-    const PackedBlock& block_;
+    const BinaryBlock& block_;
     const FaultMap& map_;
     RowMatchWeights w_;
+    std::vector<Word> colmask_;  ///< the shared columns
 };
 
 /// Position of one vertex in its candidate order (weight desc, partner
@@ -261,11 +222,10 @@ std::vector<std::int32_t> suitor_rows(const BenefitGraph& g) {
 double mapping_cost(const BinaryBlock& block, const FaultMap& map,
                     const std::vector<std::uint16_t>& perm,
                     const RowMatchWeights& weights) {
-    FARE_CHECK(perm.size() == block.size, "perm size mismatch");
-    const PackedBlock packed(block, map);
-    const RowCosts costs(packed, map, weights);
+    FARE_CHECK(perm.size() == block.size(), "perm size mismatch");
+    const RowCosts costs(block, map, weights);
     double cost = 0.0;
-    for (std::uint16_t r = 0; r < block.size; ++r) {
+    for (std::uint16_t r = 0; r < block.size(); ++r) {
         FARE_CHECK(perm[r] < map.rows(), "perm target out of range");
         cost += costs(r, perm[r]);
     }
@@ -274,11 +234,10 @@ double mapping_cost(const BinaryBlock& block, const FaultMap& map,
 
 std::size_t sa1_nonoverlap_count(const BinaryBlock& block, const FaultMap& map,
                                  const std::vector<std::uint16_t>& perm) {
-    FARE_CHECK(perm.size() == block.size, "perm size mismatch");
-    const PackedBlock packed(block, map);
-    const RowCosts costs(packed, map, {});
+    FARE_CHECK(perm.size() == block.size(), "perm size mismatch");
+    const RowCosts costs(block, map, {});
     std::size_t count = 0;
-    for (std::uint16_t r = 0; r < block.size; ++r) {
+    for (std::uint16_t r = 0; r < block.size(); ++r) {
         FARE_CHECK(perm[r] < map.rows(), "perm target out of range");
         count += costs.sa1_inserts(r, perm[r]);
     }
@@ -287,11 +246,10 @@ std::size_t sa1_nonoverlap_count(const BinaryBlock& block, const FaultMap& map,
 
 RowMatchResult best_row_permutation(const BinaryBlock& block, const FaultMap& map,
                                     const RowMatchWeights& weights) {
-    const std::uint16_t n = block.size;
+    const std::uint16_t n = block.size();
     const std::uint16_t phys = map.rows();
     FARE_CHECK(phys >= n, "crossbar has fewer rows than the block");
-    const PackedBlock packed(block, map);
-    const RowCosts costs(packed, map, weights);
+    const RowCosts costs(block, map, weights);
 
     // Per-physical-row worst-case cost C_p (all faults mismatch) and the
     // benefit of each (logical, physical) pairing: benefit = C_p - cost.
@@ -309,7 +267,7 @@ RowMatchResult best_row_permutation(const BinaryBlock& block, const FaultMap& ma
     graph.f = faulty_rows.size();
     graph.by_row.resize(graph.n * graph.f);
     graph.by_col.resize(graph.n * graph.f);
-    std::vector<Word> faults(map.words_per_row());
+    std::vector<Word> faults(costs.words());
     for (std::size_t fi = 0; fi < graph.f; ++fi) {
         const std::uint16_t p = faulty_rows[fi];
         const auto sa0 = map.sa0_row(p);
@@ -318,7 +276,7 @@ RowMatchResult best_row_permutation(const BinaryBlock& block, const FaultMap& ma
         const double miss_benefit = base[p] - costs.sa1_faults(p);
         double* col = graph.by_col.data() + fi * graph.n;
         for (std::uint16_t r = 0; r < n; ++r) {
-            const auto bits = packed.row(r);
+            const auto bits = block.row(r);
             Word hits = 0;
             for (std::size_t k = 0; k < faults.size(); ++k) hits |= bits[k] & faults[k];
             col[r] = hits == 0 ? miss_benefit : base[p] - costs(r, p);
@@ -360,11 +318,10 @@ RowMatchResult best_row_permutation(const BinaryBlock& block, const FaultMap& ma
 RowMatchResult best_row_permutation_exact(const BinaryBlock& block,
                                           const FaultMap& map,
                                           const RowMatchWeights& weights) {
-    const std::uint16_t n = block.size;
+    const std::uint16_t n = block.size();
     const std::uint16_t phys = map.rows();
     FARE_CHECK(phys >= n, "crossbar has fewer rows than the block");
-    const PackedBlock packed(block, map);
-    const RowCosts costs(packed, map, weights);
+    const RowCosts costs(block, map, weights);
 
     std::vector<double> cost(static_cast<std::size_t>(n) * phys, 0.0);
     for (std::uint16_t r = 0; r < n; ++r)

@@ -21,12 +21,6 @@ struct BitMatrix {
     std::uint8_t at(std::size_t r, std::size_t c) const { return bits[r * cols + c]; }
     void set(std::size_t r, std::size_t c, std::uint8_t v) { bits[r * cols + c] = v; }
 
-    std::size_t count_ones() const {
-        std::size_t n = 0;
-        for (auto b : bits) n += b;
-        return n;
-    }
-
     /// Adjacency bit-matrix of a graph (symmetric, no self loops).
     static BitMatrix from_graph(const CSRGraph& g) {
         BitMatrix m(g.num_nodes(), g.num_nodes());

@@ -1,6 +1,7 @@
 #include "reram/corruption.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -123,25 +124,37 @@ Matrix corrupt_weights_permuted_reference(const Matrix& w, const WeightFaultGrid
     return out;
 }
 
+BinaryBlock::BinaryBlock(std::uint16_t size)
+    : size_(size),
+      words_((size + FaultMap::kWordBits - 1) / FaultMap::kWordBits),
+      bits_(static_cast<std::size_t>(size) * words_, 0) {}
+
 double BinaryBlock::edge_density() const {
-    if (bits.empty()) return 0.0;
+    if (bits_.empty()) return 0.0;
     std::size_t ones = 0;
-    for (auto b : bits) ones += b;
-    return static_cast<double>(ones) / static_cast<double>(bits.size());
+    for (const Word w : bits_) ones += static_cast<std::size_t>(std::popcount(w));
+    return static_cast<double>(ones) /
+           (static_cast<double>(size_) * static_cast<double>(size_));
 }
 
 BinaryBlock corrupt_adjacency_block(const BinaryBlock& block, const FaultMap& map,
                                     const std::vector<std::uint16_t>& perm) {
-    FARE_CHECK(map.rows() >= block.size && map.cols() >= block.size,
+    using Word = BinaryBlock::Word;
+    FARE_CHECK(map.rows() >= block.size() && map.cols() >= block.size(),
                "fault map smaller than block");
-    FARE_CHECK(perm.size() == block.size, "permutation size mismatch");
-    BinaryBlock out = block;
-    for (std::uint16_t r = 0; r < block.size; ++r) {
+    FARE_CHECK(perm.size() == block.size(), "permutation size mismatch");
+    BinaryBlock out(block.size());
+    // The map's columns past the block are cut from each row's last word.
+    const std::size_t tail = block.size() % FaultMap::kWordBits;
+    const Word last = tail == 0 ? ~Word{0} : (Word{1} << tail) - 1;
+    for (std::uint16_t r = 0; r < block.size(); ++r) {
         FARE_CHECK(perm[r] < map.rows(), "permutation target out of range");
-        map.for_each_fault_in_row(perm[r], [&](const CellFault& f) {
-            if (f.col < block.size)
-                out.set(r, f.col, f.type == FaultType::kSA0 ? 0 : 1);
-        });
+        const auto bits = block.row(r);
+        const auto sa0 = map.sa0_row(perm[r]);
+        const auto sa1 = map.sa1_row(perm[r]);
+        const auto dst = out.row(r);
+        for (std::size_t k = 0; k < dst.size(); ++k) dst[k] = (bits[k] & ~sa0[k]) | sa1[k];
+        dst.back() &= last;
     }
     return out;
 }

@@ -118,24 +118,59 @@ Matrix corrupt_weights_permuted_reference(const Matrix& w, const WeightFaultGrid
                                           const std::vector<std::uint16_t>& perm,
                                           std::optional<float> clip = std::nullopt);
 
-/// Dense binary adjacency block (paper: adjacency is stored 1 bit per cell).
-struct BinaryBlock {
-    std::uint16_t size = 0;            ///< block is (size x size)
-    std::vector<std::uint8_t> bits;    ///< row-major 0/1
+/// Dense binary (size x size) adjacency block (paper: adjacency is stored 1
+/// bit per cell), its rows in FaultMap's row word layout: row r owns
+/// ceil(size / 64) words, column c is bit c % 64 of the row's word c / 64,
+/// and bits at columns >= size stay zero. The row matcher and the corruption
+/// pass AND these words against a fault map's planes in place.
+class BinaryBlock {
+public:
+    using Word = FaultMap::Word;
+
+    explicit BinaryBlock(std::uint16_t size);  ///< all zero
+
+    std::uint16_t size() const { return size_; }
+    std::size_t words_per_row() const { return words_; }
 
     std::uint8_t at(std::uint16_t r, std::uint16_t c) const {
-        return bits[static_cast<std::size_t>(r) * size + c];
+        return static_cast<std::uint8_t>((bits_[word(r, c)] >> (c % FaultMap::kWordBits)) & 1u);
     }
     void set(std::uint16_t r, std::uint16_t c, std::uint8_t v) {
-        bits[static_cast<std::size_t>(r) * size + c] = v;
+        const Word bit = Word{1} << (c % FaultMap::kWordBits);
+        if (v != 0) bits_[word(r, c)] |= bit;
+        else bits_[word(r, c)] &= ~bit;
     }
+
+    /// Row r's words_per_row() words. Writers through the mutable span keep
+    /// the bits at columns >= size zero.
+    std::span<const Word> row(std::uint16_t r) const {
+        FARE_DCHECK(r < size_, "block row out of range");
+        return {bits_.data() + static_cast<std::size_t>(r) * words_, words_};
+    }
+    std::span<Word> row(std::uint16_t r) {
+        FARE_DCHECK(r < size_, "block row out of range");
+        return {bits_.data() + static_cast<std::size_t>(r) * words_, words_};
+    }
+
     /// Fraction of ones (the paper's "edge density" of a block).
     double edge_density() const;
+
+    bool operator==(const BinaryBlock&) const = default;
+
+private:
+    std::size_t word(std::uint16_t r, std::uint16_t c) const {
+        FARE_DCHECK(r < size_ && c < size_, "block cell out of range");
+        return static_cast<std::size_t>(r) * words_ + c / FaultMap::kWordBits;
+    }
+
+    std::uint16_t size_ = 0;
+    std::size_t words_ = 0;
+    std::vector<Word> bits_;  // size_ x words_
 };
 
 /// Effective adjacency block after storing it on a faulty crossbar with
 /// logical row r placed at physical row perm[r]: SA1 adds an edge bit, SA0
-/// deletes one (paper Fig. 1b).
+/// deletes one (paper Fig. 1b). One word pass per row, (bits & ~sa0) | sa1.
 BinaryBlock corrupt_adjacency_block(const BinaryBlock& block, const FaultMap& map,
                                     const std::vector<std::uint16_t>& perm);
 

@@ -8,6 +8,29 @@
 namespace fare {
 namespace {
 
+/// A block of random bits, drawn cell by cell in row-major order.
+BinaryBlock random_block(std::uint16_t n, double density, Rng& rng) {
+    BinaryBlock b(n);
+    for (std::uint16_t r = 0; r < n; ++r)
+        for (std::uint16_t c = 0; c < n; ++c) b.set(r, c, rng.next_bool(density) ? 1 : 0);
+    return b;
+}
+
+/// corrupt_adjacency_block cell by cell: a stuck cell overrides the stored
+/// bit.
+BinaryBlock corrupt_per_cell(const BinaryBlock& block, const FaultMap& map,
+                             const std::vector<std::uint16_t>& perm) {
+    BinaryBlock out(block.size());
+    for (std::uint16_t r = 0; r < block.size(); ++r)
+        for (std::uint16_t c = 0; c < block.size(); ++c) {
+            const auto fault = map.at(perm[r], c);
+            out.set(r, c,
+                    fault.has_value() ? (*fault == FaultType::kSA1 ? 1 : 0)
+                                      : block.at(r, c));
+        }
+    return out;
+}
+
 TEST(WeightFaultGridTest, MapsCrossbarFaultsToSlices) {
     // One 32x32 crossbar holds a 32x4 weight matrix (4 weights * 8 cells).
     FaultMap map(32, 32);
@@ -76,18 +99,14 @@ TEST(CorruptWeightsTest, PermSizeValidated) {
 }
 
 TEST(BinaryBlockTest, EdgeDensity) {
-    BinaryBlock block;
-    block.size = 4;
-    block.bits.assign(16, 0);
+    BinaryBlock block(4);
     block.set(0, 0, 1);
     block.set(1, 2, 1);
     EXPECT_DOUBLE_EQ(block.edge_density(), 2.0 / 16.0);
 }
 
 TEST(CorruptAdjacencyTest, Sa1AddsAndSa0DeletesEdges) {
-    BinaryBlock block;
-    block.size = 4;
-    block.bits.assign(16, 0);
+    BinaryBlock block(4);
     block.set(0, 1, 1);
     block.set(2, 3, 1);
 
@@ -102,9 +121,7 @@ TEST(CorruptAdjacencyTest, Sa1AddsAndSa0DeletesEdges) {
 }
 
 TEST(CorruptAdjacencyTest, PermutationAvoidsFaults) {
-    BinaryBlock block;
-    block.size = 4;
-    block.bits.assign(16, 0);
+    const BinaryBlock block(4);
 
     FaultMap map(8, 8);
     map.add(0, 2, FaultType::kSA1);  // physical row 0 inserts an edge
@@ -120,15 +137,48 @@ TEST(CorruptAdjacencyTest, PermutationAvoidsFaults) {
 }
 
 TEST(CorruptAdjacencyTest, MatchingBitsAreHarmless) {
-    BinaryBlock block;
-    block.size = 2;
-    block.bits = {1, 0, 0, 1};
+    BinaryBlock block(2);
+    block.set(0, 0, 1);
+    block.set(1, 1, 1);
     FaultMap map(4, 4);
     map.add(0, 0, FaultType::kSA1);  // stored 1, stuck 1 -> no change
     map.add(0, 1, FaultType::kSA0);  // stored 0, stuck 0 -> no change
     const BinaryBlock eff = corrupt_adjacency_block(block, map, identity_perm(2));
     EXPECT_EQ(eff.at(0, 0), 1);
     EXPECT_EQ(eff.at(0, 1), 0);
+}
+
+TEST(CorruptAdjacencyTest, WordPassMatchesPerCellReference) {
+    // Blocks narrower than the map and sizes off the 64-bit word grid: the
+    // map's faults in columns >= size must not reach the block.
+    struct Shape {
+        std::uint16_t n, map;
+    };
+    Rng rng(23);
+    for (const Shape s : {Shape{100, 128}, Shape{4, 8}, Shape{64, 128}, Shape{128, 128},
+                          Shape{65, 70}}) {
+        for (int trial = 0; trial < 4; ++trial) {
+            const BinaryBlock block = random_block(s.n, 0.3, rng);
+            FaultMap map(s.map, s.map);
+            for (std::uint16_t r = 0; r < s.map; ++r)
+                for (std::uint16_t c = 0; c < s.map; ++c)
+                    if (rng.next_bool(0.1))
+                        map.add(r, c,
+                                rng.next_bool(0.5) ? FaultType::kSA1 : FaultType::kSA0);
+            std::vector<std::uint16_t> perm(s.map);
+            for (std::uint16_t p = 0; p < s.map; ++p) perm[p] = p;
+            rng.shuffle(perm);
+            perm.resize(s.n);
+
+            const BinaryBlock eff = corrupt_adjacency_block(block, map, perm);
+            EXPECT_EQ(eff, corrupt_per_cell(block, map, perm))
+                << "n=" << s.n << " map=" << s.map << " trial " << trial;
+            if (s.n % FaultMap::kWordBits != 0) {
+                for (std::uint16_t r = 0; r < s.n; ++r)
+                    EXPECT_EQ(eff.row(r).back() >> (s.n % FaultMap::kWordBits), 0u);
+            }
+        }
+    }
 }
 
 TEST(IdentityPermTest, IsIdentity) {

@@ -44,11 +44,29 @@ TEST(MapperTest, ExtractBlockPadsEdges) {
     adj.set(0, 1, 1);
     adj.set(17, 18, 1);
     const BinaryBlock b00 = mapper.extract_block(adj, 0, 0);
-    EXPECT_EQ(b00.size, 16);
+    EXPECT_EQ(b00.size(), 16);
     EXPECT_EQ(b00.at(0, 1), 1);
     const BinaryBlock b11 = mapper.extract_block(adj, 1, 1);
     EXPECT_EQ(b11.at(1, 2), 1);   // (17,18) - 16 offset
     EXPECT_EQ(b11.at(15, 15), 0); // padding stays zero
+
+    // n = 100: each block row spans two words, and the edge blocks end
+    // mid-word and mid-gather.
+    FaultAwareMapper wide(small_mapper(100));
+    Rng rng(2);
+    const BitMatrix big = random_adjacency(150, 0.2, rng);
+    for (std::size_t bi = 0; bi < 2; ++bi)
+        for (std::size_t bj = 0; bj < 2; ++bj) {
+            const BinaryBlock block = wide.extract_block(big, bi, bj);
+            ASSERT_EQ(block.size(), 100);
+            for (std::uint16_t r = 0; r < 100; ++r)
+                for (std::uint16_t c = 0; c < 100; ++c) {
+                    const std::size_t src_r = bi * 100 + r, src_c = bj * 100 + c;
+                    const std::uint8_t want =
+                        src_r < 150 && src_c < 150 ? big.at(src_r, src_c) : 0;
+                    ASSERT_EQ(block.at(r, c), want) << bi << bj << ' ' << r << ',' << c;
+                }
+        }
 }
 
 TEST(MapperTest, MapBatchAssignsEveryBlockDistinctly) {

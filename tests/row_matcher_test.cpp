@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 
 #include "common/rng.hpp"
 #include "fare/bsuitor.hpp"
@@ -15,11 +16,19 @@
 namespace fare {
 namespace {
 
+/// An (n x n) block from row-major 0/1 values.
+BinaryBlock block_of(std::uint16_t n, std::initializer_list<int> bits) {
+    BinaryBlock b(n);
+    auto it = bits.begin();
+    for (std::uint16_t r = 0; r < n; ++r)
+        for (std::uint16_t c = 0; c < n; ++c) b.set(r, c, static_cast<std::uint8_t>(*it++));
+    return b;
+}
+
 BinaryBlock random_block(std::uint16_t n, double density, Rng& rng) {
-    BinaryBlock b;
-    b.size = n;
-    b.bits.assign(static_cast<std::size_t>(n) * n, 0);
-    for (auto& bit : b.bits) bit = rng.next_bool(density) ? 1 : 0;
+    BinaryBlock b(n);
+    for (std::uint16_t r = 0; r < n; ++r)
+        for (std::uint16_t c = 0; c < n; ++c) b.set(r, c, rng.next_bool(density) ? 1 : 0);
     return b;
 }
 
@@ -39,7 +48,7 @@ double mapping_cost_row(const BinaryBlock& block, const FaultMap& map,
                         std::uint16_t r, std::uint16_t p, const RowMatchWeights& w) {
     double cost = 0.0;
     map.for_each_fault_in_row(p, [&](const CellFault& f) {
-        if (f.col >= block.size) return;
+        if (f.col >= block.size()) return;
         const std::uint8_t bit = block.at(r, f.col);
         if (f.type == FaultType::kSA0 && bit == 1) cost += w.sa0;
         if (f.type == FaultType::kSA1 && bit == 0) cost += w.sa1;
@@ -58,9 +67,7 @@ void check_is_permutation(const std::vector<std::uint16_t>& perm, std::uint16_t 
 
 TEST(MappingCostTest, CountsWeightedMismatches) {
     // Block: row0 = [1, 0]; SA0 under the 1 costs sa0, SA1 under the 0 costs sa1.
-    BinaryBlock block;
-    block.size = 2;
-    block.bits = {1, 0, 0, 0};
+    const BinaryBlock block = block_of(2, {1, 0, 0, 0});
     FaultMap map(2, 2);
     map.add(0, 0, FaultType::kSA0);
     map.add(0, 1, FaultType::kSA1);
@@ -70,9 +77,7 @@ TEST(MappingCostTest, CountsWeightedMismatches) {
 }
 
 TEST(MappingCostTest, MatchingBitsCostNothing) {
-    BinaryBlock block;
-    block.size = 2;
-    block.bits = {1, 0, 0, 0};
+    const BinaryBlock block = block_of(2, {1, 0, 0, 0});
     FaultMap map(2, 2);
     map.add(0, 0, FaultType::kSA1);  // stored 1, stuck 1
     map.add(0, 1, FaultType::kSA0);  // stored 0, stuck 0
@@ -82,9 +87,7 @@ TEST(MappingCostTest, MatchingBitsCostNothing) {
 TEST(RowMatcherTest, FindsZeroCostPermutationWhenOneExists) {
     // Construct: physical row 0 has SA1 at col 0; block row 1 has a 1 there.
     // Swapping rows 0 and 1 hides the fault completely.
-    BinaryBlock block;
-    block.size = 2;
-    block.bits = {0, 0, 1, 0};
+    const BinaryBlock block = block_of(2, {0, 0, 1, 0});
     FaultMap map(2, 2);
     map.add(0, 0, FaultType::kSA1);
     const RowMatchResult r = best_row_permutation(block, map);
@@ -96,9 +99,7 @@ TEST(RowMatcherTest, FindsZeroCostPermutationWhenOneExists) {
 TEST(RowMatcherTest, UsesSpareCleanRows) {
     // 2-row block on a 4-row crossbar whose rows 0 and 1 are poisoned: the
     // matcher should park both block rows on the clean rows 2 and 3.
-    BinaryBlock block;
-    block.size = 2;
-    block.bits = {0, 0, 0, 0};
+    const BinaryBlock block(2);
     FaultMap map(4, 4);
     map.add(0, 0, FaultType::kSA1);
     map.add(1, 1, FaultType::kSA1);
@@ -140,9 +141,7 @@ TEST(RowMatcherTest, BothBeatIdentityOnAverage) {
 TEST(RowMatcherTest, Sa1WeightingPrefersHidingSa1) {
     // One SA1 and one SA0, exactly one block 1-bit that can hide either:
     // with sa1 >> sa0 the matcher must hide the SA1 fault.
-    BinaryBlock block;
-    block.size = 2;
-    block.bits = {1, 0, 0, 0};  // row 0 has a 1 at col 0
+    const BinaryBlock block = block_of(2, {1, 0, 0, 0});  // row 0 has a 1 at col 0
     FaultMap map(2, 2);
     map.add(0, 0, FaultType::kSA0);  // would delete the 1 if row 0 stays
     map.add(1, 0, FaultType::kSA1);  // would insert on a 0
@@ -164,11 +163,28 @@ TEST(RowMatcherTest, CleanCrossbarGivesZeroCost) {
 }
 
 TEST(RowMatcherTest, PermSizeValidated) {
-    BinaryBlock block;
-    block.size = 4;
-    block.bits.assign(16, 0);
+    const BinaryBlock block(4);
     FaultMap map(2, 2);  // smaller than block
     EXPECT_THROW(best_row_permutation(block, map), InvalidArgument);
+}
+
+TEST(RowMatcherTest, FaultsPastTheBlockCostNothing) {
+    // A 100-row block on a 128x128 crossbar whose faults all lie in columns
+    // 100..127: no row of the block can mismatch them.
+    Rng rng(29);
+    const BinaryBlock block = random_block(100, 0.2, rng);
+    FaultMap map(128, 128);
+    for (std::uint16_t r = 0; r < 128; ++r)
+        for (std::uint16_t c = 100; c < 128; ++c)
+            if (rng.next_bool(0.3))
+                map.add(r, c, rng.next_bool(0.5) ? FaultType::kSA1 : FaultType::kSA0);
+    const RowMatchResult r = best_row_permutation(block, map);
+    check_is_permutation(r.perm, 128);
+    EXPECT_EQ(r.cost, 0.0);
+    EXPECT_EQ(r.sa1_nonoverlap, 0.0);
+    EXPECT_EQ(best_row_permutation_exact(block, map).cost, 0.0);
+    EXPECT_EQ(mapping_cost(block, map, identity_perm(100), {}), 0.0);
+    EXPECT_EQ(sa1_nonoverlap_count(block, map, identity_perm(100)), 0u);
 }
 
 /// Density sweep: the permutation never increases cost vs identity.
@@ -234,7 +250,7 @@ TEST(RowMatcherTest, OracleAtCrossbarBlockSize) {
 /// bipartite suitor kernel must reproduce exactly.
 RowMatchResult generic_row_permutation(const BinaryBlock& block, const FaultMap& map,
                                        const RowMatchWeights& w) {
-    const std::uint16_t n = block.size;
+    const std::uint16_t n = block.size();
     const std::uint16_t phys = map.rows();
     std::vector<double> base(phys, 0.0);
     std::vector<std::uint16_t> faulty_rows;
