@@ -51,8 +51,9 @@ echo "Results in ${OUT_DIR}/BENCH_micro_*.json and ${OUT_DIR}/BENCH_online_toler
 # *_postpr.json baseline (generous factor — the gate catches
 # order-of-magnitude regressions, not machine-to-machine noise). A bench
 # without a baseline, or a baseline whose bench is not run here, fails the
-# script. Set FARE_BENCH_FACTOR to tune, or FARE_BENCH_NO_CHECK=1 to record
-# only.
+# script at once. Threshold failures do not stop it: every bench is checked,
+# and the script exits 1 at the end naming each bench that failed. Set
+# FARE_BENCH_FACTOR to tune, or FARE_BENCH_NO_CHECK=1 to record only.
 if [ -z "${FARE_BENCH_NO_CHECK:-}" ]; then
     gated=("${MICRO_BENCHES[@]}" bench_online_tolerance)
     for baseline in "${OUT_DIR}"/BENCH_*_postpr.json; do
@@ -62,6 +63,7 @@ if [ -z "${FARE_BENCH_NO_CHECK:-}" ]; then
             exit 1
         fi
     done
+    failed=()
     for bench in "${gated[@]}"; do
         fresh="${OUT_DIR}/BENCH_${bench#bench_}.json"
         baseline="${fresh%.json}_postpr.json"
@@ -71,6 +73,10 @@ if [ -z "${FARE_BENCH_NO_CHECK:-}" ]; then
         fi
         echo "=== threshold check: ${fresh} vs ${baseline} ==="
         python3 scripts/check_bench.py "${baseline}" "${fresh}" \
-            "${FARE_BENCH_FACTOR:-3.0}"
+            "${FARE_BENCH_FACTOR:-3.0}" || failed+=("${bench}")
     done
+    if [ "${#failed[@]}" -gt 0 ]; then
+        echo "bench.sh: threshold check failed for: ${failed[*]}" >&2
+        exit 1
+    fi
 fi

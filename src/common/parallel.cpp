@@ -9,6 +9,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/fp_mode.hpp"
+
 namespace fare {
 
 namespace {
@@ -20,6 +22,8 @@ thread_local std::size_t tls_width_cap = static_cast<std::size_t>(-1);
 struct Job {
     const std::function<void(std::size_t)>* fn = nullptr;
     std::size_t count = 0;
+    // The submitter's FP mode: helpers compute the job's items in it.
+    FpControlWord fp_control = 0;
     std::atomic<std::size_t> next{0};
     std::atomic<bool> failed{false};
     std::exception_ptr first_error;
@@ -113,7 +117,12 @@ private:
                 job = job_;
                 --wanted_;
             }
+            // Compute in the submitter's FP mode (e.g. inside its
+            // FlushDenormalsScope), then return to this thread's own.
+            const FpControlWord own = fp_control_word();
+            set_fp_control_word(job->fp_control);
             job->run_items();
+            set_fp_control_word(own);
             if (job->active.fetch_sub(1) == 1) {
                 std::lock_guard<std::mutex> lock(mutex_);
                 done_cv_.notify_all();
@@ -162,6 +171,7 @@ void parallel_for_each(std::size_t threads, std::size_t count,
     Job job;
     job.fn = &fn;
     job.count = count;
+    job.fp_control = fp_control_word();
     WorkerPool::instance().run(job, width);
     if (job.first_error) std::rethrow_exception(job.first_error);
 }

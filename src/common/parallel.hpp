@@ -16,6 +16,9 @@
 //  - If any invocation throws, unstarted items are skipped (fail fast) and
 //    the first exception is rethrown on the calling thread after the loop
 //    drains.
+//  - Every item runs in the calling thread's FP mode (common/fp_mode.hpp):
+//    pool helpers take on the submitter's control word for the job, so a
+//    kernel fanned out inside a FlushDenormalsScope flushes on every thread.
 #pragma once
 
 #include <algorithm>

@@ -232,18 +232,6 @@ double mapping_cost(const BinaryBlock& block, const FaultMap& map,
     return cost;
 }
 
-std::size_t sa1_nonoverlap_count(const BinaryBlock& block, const FaultMap& map,
-                                 const std::vector<std::uint16_t>& perm) {
-    FARE_CHECK(perm.size() == block.size(), "perm size mismatch");
-    const RowCosts costs(block, map, {});
-    std::size_t count = 0;
-    for (std::uint16_t r = 0; r < block.size(); ++r) {
-        FARE_CHECK(perm[r] < map.rows(), "perm target out of range");
-        count += costs.sa1_inserts(r, perm[r]);
-    }
-    return count;
-}
-
 RowMatchResult best_row_permutation(const BinaryBlock& block, const FaultMap& map,
                                     const RowMatchWeights& weights) {
     const std::uint16_t n = block.size();

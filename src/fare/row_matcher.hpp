@@ -36,11 +36,6 @@ double mapping_cost(const BinaryBlock& block, const FaultMap& map,
                     const std::vector<std::uint16_t>& perm,
                     const RowMatchWeights& weights = {});
 
-/// Unweighted count of SA1-inserts-edge mismatches under perm (the paper's
-/// "SA1 non-overlap" used by the crossbar-removal rule).
-std::size_t sa1_nonoverlap_count(const BinaryBlock& block, const FaultMap& map,
-                                 const std::vector<std::uint16_t>& perm);
-
 /// Best row permutation via b-Suitor half-approximate matching (the paper's
 /// choice — near-linear in candidate edges).
 RowMatchResult best_row_permutation(const BinaryBlock& block, const FaultMap& map,

@@ -3,6 +3,7 @@
 #include <numeric>
 
 #include "common/error.hpp"
+#include "common/fp_mode.hpp"
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "nn/optimizer.hpp"
@@ -40,6 +41,7 @@ void TrainLoop::refresh_effective_weights() {
 }
 
 MetricAccumulator TrainLoop::evaluate_split(Split split) {
+    FlushDenormalsScope flush;  // also reached outside run(): deployment eval
     refresh_effective_weights();
     MetricAccumulator acc(num_classes_);
     evaluate(acc, split);
@@ -75,6 +77,10 @@ double TrainLoop::evaluate_test_accuracy() {
 }
 
 TrainResult TrainLoop::run() {
+    // Backpropagation drives gradients subnormal, and subnormal arithmetic
+    // is slow; flushing them to zero leaves every canonical output
+    // byte-identical (docs/performance.md § Floating-point mode).
+    FlushDenormalsScope flush;
     TrainResult result;
     result.partition_quality = partition_quality_;
     Stopwatch prep_watch;

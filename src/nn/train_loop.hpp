@@ -15,6 +15,10 @@
 // pass. Effective weights are recorrupted only when the logical params or
 // the hardware's weights_state_version() moved, so an evaluation right after
 // a step reuses that step's corruption.
+//
+// run() and every evaluation compute inside a FlushDenormalsScope
+// (common/fp_mode.hpp): subnormal floats flush to zero, on pool helpers too,
+// and the caller's FP mode is restored on return.
 #pragma once
 
 #include <cstdint>

@@ -56,6 +56,20 @@ double mapping_cost_row(const BinaryBlock& block, const FaultMap& map,
     return cost;
 }
 
+/// Unweighted count of SA1-inserts-edge mismatches under perm (the paper's
+/// "SA1 non-overlap" used by the crossbar-removal rule), recounted fault by
+/// fault: the independent check of RowMatchResult::sa1_nonoverlap.
+std::size_t sa1_nonoverlap_count(const BinaryBlock& block, const FaultMap& map,
+                                 const std::vector<std::uint16_t>& perm) {
+    std::size_t count = 0;
+    for (std::uint16_t r = 0; r < block.size(); ++r)
+        map.for_each_fault_in_row(perm[r], [&](const CellFault& f) {
+            if (f.col < block.size() && f.type == FaultType::kSA1 && block.at(r, f.col) == 0)
+                ++count;
+        });
+    return count;
+}
+
 void check_is_permutation(const std::vector<std::uint16_t>& perm, std::uint16_t phys) {
     std::vector<bool> used(phys, false);
     for (auto p : perm) {
@@ -74,6 +88,9 @@ TEST(MappingCostTest, CountsWeightedMismatches) {
     const RowMatchWeights w{1.0, 4.0};
     EXPECT_DOUBLE_EQ(mapping_cost(block, map, identity_perm(2), w), 5.0);
     EXPECT_EQ(sa1_nonoverlap_count(block, map, identity_perm(2)), 1u);
+    const RowMatchResult r = best_row_permutation(block, map, w);
+    EXPECT_EQ(r.sa1_nonoverlap,
+              static_cast<double>(sa1_nonoverlap_count(block, map, r.perm)));
 }
 
 TEST(MappingCostTest, MatchingBitsCostNothing) {
@@ -185,6 +202,8 @@ TEST(RowMatcherTest, FaultsPastTheBlockCostNothing) {
     EXPECT_EQ(best_row_permutation_exact(block, map).cost, 0.0);
     EXPECT_EQ(mapping_cost(block, map, identity_perm(100), {}), 0.0);
     EXPECT_EQ(sa1_nonoverlap_count(block, map, identity_perm(100)), 0u);
+    EXPECT_EQ(r.sa1_nonoverlap,
+              static_cast<double>(sa1_nonoverlap_count(block, map, r.perm)));
 }
 
 /// Density sweep: the permutation never increases cost vs identity.
@@ -295,15 +314,10 @@ RowMatchResult generic_row_permutation(const BinaryBlock& block, const FaultMap&
     for (std::uint16_t r = 0; r < n; ++r)
         if (!log_used[r]) result.perm[r] = free_phys[next++];
 
-    std::size_t sa1_inserts = 0;
-    for (std::uint16_t r = 0; r < n; ++r) {
+    for (std::uint16_t r = 0; r < n; ++r)
         result.cost += mapping_cost_row(block, map, r, result.perm[r], w);
-        map.for_each_fault_in_row(result.perm[r], [&](const CellFault& f) {
-            if (f.col < n && f.type == FaultType::kSA1 && block.at(r, f.col) == 0)
-                ++sa1_inserts;
-        });
-    }
-    result.sa1_nonoverlap = static_cast<double>(sa1_inserts);
+    result.sa1_nonoverlap =
+        static_cast<double>(sa1_nonoverlap_count(block, map, result.perm));
     return result;
 }
 

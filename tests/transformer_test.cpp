@@ -7,6 +7,7 @@
 #include <cmath>
 #include <vector>
 
+#include "common/fp_mode.hpp"
 #include "fare/fare_trainer.hpp"
 #include "fare/scenario.hpp"
 #include "models/transformer/seq_dataset.hpp"
@@ -128,6 +129,28 @@ TEST(TransformerTrainerTest, DeterministicAndLearnsAboveChance) {
     ASSERT_EQ(a.curve.size(), config.epochs);
     // Chance is 1/num_classes = 0.25; the marker task is nearly separable.
     EXPECT_GT(a.test_accuracy, 0.5);
+}
+
+TEST(TransformerTrainerTest, LeavesTheCallersFpModeAlone) {
+    // Training and evaluation flush subnormals inside their own scope; the
+    // caller's control word, flushed or not, is what it finds on return.
+    const SeqDataset dataset = make_seq_cls(SeqDatasetConfig{}, 1);
+    TrainConfig config;
+    config.hidden = 16;
+    config.num_layers = 1;
+    config.epochs = 1;
+    config.seed = 1;
+    TransformerTrainer trainer(dataset, config);
+    const FpControlWord before = fp_control_word();
+    trainer.run();
+    EXPECT_EQ(fp_control_word(), before);
+    trainer.evaluate_test_accuracy();
+    EXPECT_EQ(fp_control_word(), before);
+
+    FlushDenormalsScope caller;
+    const FpControlWord flushed = fp_control_word();
+    trainer.evaluate_test_accuracy();
+    EXPECT_EQ(fp_control_word(), flushed);
 }
 
 TEST(TransformerFamilyTest, RegistryConfigAndTiming) {
