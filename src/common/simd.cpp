@@ -22,7 +22,10 @@ constexpr SimdKernels kScalarKernels = {
     &scalar::overlay_fixup,     &scalar::overlay_fixup_clip,
     &scalar::matmul_rows,       &scalar::matmul_at_b_rows,
     &scalar::matmul_a_bt_rows,  &scalar::aggregate_rows,
-    &scalar::aggregate_t_rows,
+    &scalar::aggregate_t_rows,  &scalar::relu,
+    &scalar::relu_backward,     &scalar::add,
+    &scalar::sub,               &scalar::scale,
+    &scalar::fill,              &scalar::adam_update,
 };
 
 const SimdKernels* table_for(SimdIsa isa) {

@@ -1,9 +1,11 @@
 // Runtime-dispatched SIMD kernel layer for the training hot path.
 //
-// The four hot passes — quantise/dequantise (numeric/quantize.cpp), the
+// The hot passes — quantise/dequantise (numeric/quantize.cpp), the
 // compiled-overlay fix-up + clip (reram/compiled_overlay.cpp), the blocked
-// GEMMs (numeric/matrix.cpp) and the sparse aggregation
-// (gnn/batch_view.cpp) — all run through the function-pointer table below.
+// GEMMs (numeric/matrix.cpp), the sparse aggregation (gnn/batch_view.cpp)
+// and the dense elementwise passes of training (Matrix +=/-=/*=/fill,
+// nn/activations.cpp's relu pair, nn/optimizer.cpp's Adam update) — all run
+// through the function-pointer table below.
 // One table exists per instruction set the build knows about (scalar always;
 // AVX2 on x86-64; NEON on AArch64) and the active table is picked at
 // runtime:
@@ -23,9 +25,18 @@
 // passes are identical by construction; float kernels vectorise across
 // *output elements* only, keeping each element's accumulation chain in
 // ascending-k scalar order, and never use fused multiply-add (the kernel
-// translation units are compiled with -ffp-contract=off). This is what
-// keeps the repo-wide serial ≡ parallel ≡ fleet byte-identity invariants
-// alive with SIMD enabled.
+// translation units are compiled with -ffp-contract=off). Elementwise
+// kernels evaluate each element's scalar expression in the same order with
+// correctly rounded lane ops (add, sub, mul, div, sqrt), so they match too;
+// only when both operands of one op are NaN may the sign or payload of the
+// NaN result differ, as the compiler may commute the operands. This is
+// what keeps the repo-wide serial ≡ parallel ≡ fleet byte-identity
+// invariants alive with SIMD enabled.
+//
+// Aliasing rule for the elementwise kernels: an output may be the very same
+// array as an input (Matrix `m += m` is legal), but never a partial overlap.
+// Every kernel reads element i before it writes element i, and none marks
+// its pointers __restrict.
 #pragma once
 
 #include <cstddef>
@@ -59,6 +70,14 @@ SimdIsa set_isa(SimdIsa isa);
 /// table. Throws InvalidArgument on anything else. Returns the ISA now
 /// active.
 SimdIsa set_isa_mode(const std::string& mode);
+
+/// Scalars of one Adam step. bc1/bc2 are the bias corrections 1 - beta^t.
+/// Per element, in this order and without FMA:
+///   m = beta1*m + (1-beta1)*g;  v = beta2*v + ((1-beta2)*g)*g;
+///   p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps).
+struct AdamStep {
+    float lr, beta1, beta2, eps, bc1, bc2;
+};
 
 /// One process-wide kernel table. All pointers are always valid; raw
 /// pointers + lengths so Matrix, FixedMatrix and std::vector callers share
@@ -116,6 +135,22 @@ struct SimdKernels {
                              const std::uint32_t* t_edge, const float* vals,
                              const float* x, float* y, std::size_t c0,
                              std::size_t c1, std::size_t feat);
+    /// y[i] = x[i] > 0 ? x[i] : +0 (-0 and NaN map to +0).
+    void (*relu)(const float* x, float* y, std::size_t n);
+    /// out[i] = !(pre[i] <= 0) ? g[i] : +0 (a NaN pre-activation keeps g).
+    void (*relu_backward)(const float* g, const float* pre, float* out,
+                          std::size_t n);
+    /// dst[i] += src[i].
+    void (*add)(float* dst, const float* src, std::size_t n);
+    /// dst[i] -= src[i].
+    void (*sub)(float* dst, const float* src, std::size_t n);
+    /// dst[i] *= s.
+    void (*scale)(float* dst, float s, std::size_t n);
+    /// dst[i] = v.
+    void (*fill)(float* dst, float v, std::size_t n);
+    /// One Adam step over n parameters (see AdamStep); updates m, v and p.
+    void (*adam_update)(float* p, const float* g, float* m, float* v,
+                        std::size_t n, const AdamStep& step);
 };
 
 /// Table for the active ISA (one relaxed atomic load on the hot path).

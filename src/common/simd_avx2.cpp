@@ -164,6 +164,15 @@ struct VecAvx2 {
     static Reg zero() { return _mm256_setzero_ps(); }
     static Reg mul(Reg a, Reg b) { return _mm256_mul_ps(a, b); }
     static Reg add(Reg a, Reg b) { return _mm256_add_ps(a, b); }
+    static Reg sub(Reg a, Reg b) { return _mm256_sub_ps(a, b); }
+    static Reg div(Reg a, Reg b) { return _mm256_div_ps(a, b); }
+    static Reg sqrt(Reg a) { return _mm256_sqrt_ps(a); }
+    // Masks are all-ones/all-zeros lanes in a float register. The ordered
+    // GT predicate is false on NaN; NLE_UQ is its complement-of-<= twin,
+    // true on NaN.
+    static Reg gt(Reg a, Reg b) { return _mm256_cmp_ps(a, b, _CMP_GT_OQ); }
+    static Reg not_le(Reg a, Reg b) { return _mm256_cmp_ps(a, b, _CMP_NLE_UQ); }
+    static Reg keep(Reg mask, Reg a) { return _mm256_and_ps(mask, a); }
 };
 
 const SimdKernels kAvx2Table = {
@@ -178,6 +187,13 @@ const SimdKernels kAvx2Table = {
     &vec::matmul_a_bt_rows<VecAvx2>,
     &vec::aggregate_rows<VecAvx2>,
     &vec::aggregate_t_rows<VecAvx2>,
+    &vec::relu<VecAvx2>,
+    &vec::relu_backward<VecAvx2>,
+    &vec::add<VecAvx2>,
+    &vec::sub<VecAvx2>,
+    &vec::scale<VecAvx2>,
+    &vec::fill<VecAvx2>,
+    &vec::adam_update<VecAvx2>,
 };
 
 }  // namespace

@@ -3,7 +3,11 @@
 //
 //   V::kWidth                       lanes per register (8 AVX2, 4 NEON)
 //   V::Reg                          register type
-//   V::load/store (unaligned), V::broadcast, V::zero, V::mul, V::add
+//   V::load/store (unaligned), V::broadcast, V::zero
+//   V::add, V::sub, V::mul, V::div, V::sqrt    correctly rounded lane ops
+//   V::gt(a, b)                     lane mask a > b (false on NaN)
+//   V::not_le(a, b)                 lane mask !(a <= b) (true on NaN)
+//   V::keep(mask, a)                a where mask is set, +0 elsewhere
 //
 // Bit-identity rule baked into every kernel here: vectorise across OUTPUT
 // elements only. Each output element's partial products accumulate in
@@ -12,6 +16,12 @@
 // including TUs compile with -ffp-contract=off, so no FMA contraction).
 // Ragged tails (cols % kWidth != 0, rows % 4 != 0) fall back to the scalar
 // helpers, which follow the same accumulation order.
+//
+// The elementwise kernels at the end evaluate each element's scalar
+// expression with the same operations in the same order, so they match the
+// oracle for every input, NaN, infinities and subnormals included. Their
+// pointers are not __restrict: an output may be the same array as an input
+// (each register is loaded before it is stored).
 #pragma once
 
 #include <algorithm>
@@ -304,6 +314,90 @@ void aggregate_t_rows(const std::size_t* t_offsets, const std::uint32_t* t_src,
             yrow[f] = acc;
         }
     }
+}
+
+template <class V>
+void relu(const float* x, float* y, std::size_t n) {
+    constexpr std::size_t W = V::kWidth;
+    const typename V::Reg zero = V::zero();
+    std::size_t i = 0;
+    for (; i + W <= n; i += W) {
+        const typename V::Reg v = V::load(x + i);
+        V::store(y + i, V::keep(V::gt(v, zero), v));
+    }
+    if (i < n) scalar::relu(x + i, y + i, n - i);
+}
+
+template <class V>
+void relu_backward(const float* g, const float* pre, float* out, std::size_t n) {
+    constexpr std::size_t W = V::kWidth;
+    const typename V::Reg zero = V::zero();
+    std::size_t i = 0;
+    for (; i + W <= n; i += W)
+        V::store(out + i,
+                 V::keep(V::not_le(V::load(pre + i), zero), V::load(g + i)));
+    if (i < n) scalar::relu_backward(g + i, pre + i, out + i, n - i);
+}
+
+template <class V>
+void add(float* dst, const float* src, std::size_t n) {
+    constexpr std::size_t W = V::kWidth;
+    std::size_t i = 0;
+    for (; i + W <= n; i += W)
+        V::store(dst + i, V::add(V::load(dst + i), V::load(src + i)));
+    if (i < n) scalar::add(dst + i, src + i, n - i);
+}
+
+template <class V>
+void sub(float* dst, const float* src, std::size_t n) {
+    constexpr std::size_t W = V::kWidth;
+    std::size_t i = 0;
+    for (; i + W <= n; i += W)
+        V::store(dst + i, V::sub(V::load(dst + i), V::load(src + i)));
+    if (i < n) scalar::sub(dst + i, src + i, n - i);
+}
+
+template <class V>
+void scale(float* dst, float s, std::size_t n) {
+    constexpr std::size_t W = V::kWidth;
+    const typename V::Reg sv = V::broadcast(s);
+    std::size_t i = 0;
+    for (; i + W <= n; i += W) V::store(dst + i, V::mul(V::load(dst + i), sv));
+    if (i < n) scalar::scale(dst + i, s, n - i);
+}
+
+template <class V>
+void fill(float* dst, float v, std::size_t n) {
+    constexpr std::size_t W = V::kWidth;
+    const typename V::Reg vv = V::broadcast(v);
+    std::size_t i = 0;
+    for (; i + W <= n; i += W) V::store(dst + i, vv);
+    if (i < n) scalar::fill(dst + i, v, n - i);
+}
+
+/// scalar::adam_update lane by lane: same operations, same order, no FMA.
+template <class V>
+void adam_update(float* p, const float* g, float* m, float* v, std::size_t n,
+                 const AdamStep& s) {
+    constexpr std::size_t W = V::kWidth;
+    const typename V::Reg b1 = V::broadcast(s.beta1), c1 = V::broadcast(1.0f - s.beta1);
+    const typename V::Reg b2 = V::broadcast(s.beta2), c2 = V::broadcast(1.0f - s.beta2);
+    const typename V::Reg bc1 = V::broadcast(s.bc1), bc2 = V::broadcast(s.bc2);
+    const typename V::Reg lr = V::broadcast(s.lr), eps = V::broadcast(s.eps);
+    std::size_t i = 0;
+    for (; i + W <= n; i += W) {
+        const typename V::Reg gv = V::load(g + i);
+        const typename V::Reg mv =
+            V::add(V::mul(b1, V::load(m + i)), V::mul(c1, gv));
+        const typename V::Reg vv =
+            V::add(V::mul(b2, V::load(v + i)), V::mul(V::mul(c2, gv), gv));
+        V::store(m + i, mv);
+        V::store(v + i, vv);
+        const typename V::Reg step = V::div(V::mul(lr, V::div(mv, bc1)),
+                                            V::add(V::sqrt(V::div(vv, bc2)), eps));
+        V::store(p + i, V::sub(V::load(p + i), step));
+    }
+    if (i < n) scalar::adam_update(p + i, g + i, m + i, v + i, n - i, s);
 }
 
 }  // namespace fare::simd::vec

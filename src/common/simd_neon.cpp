@@ -147,6 +147,16 @@ struct VecNeon {
     static Reg zero() { return vdupq_n_f32(0.0f); }
     static Reg mul(Reg a, Reg b) { return vmulq_f32(a, b); }
     static Reg add(Reg a, Reg b) { return vaddq_f32(a, b); }
+    static Reg sub(Reg a, Reg b) { return vsubq_f32(a, b); }
+    static Reg div(Reg a, Reg b) { return vdivq_f32(a, b); }
+    static Reg sqrt(Reg a) { return vsqrtq_f32(a); }
+    // Masks are all-ones/all-zeros u32 lanes. vcgtq/vcleq are ordered
+    // (false on NaN), so !(a <= b) is the bitwise NOT of vcleq.
+    static uint32x4_t gt(Reg a, Reg b) { return vcgtq_f32(a, b); }
+    static uint32x4_t not_le(Reg a, Reg b) { return vmvnq_u32(vcleq_f32(a, b)); }
+    static Reg keep(uint32x4_t mask, Reg a) {
+        return vreinterpretq_f32_u32(vandq_u32(mask, vreinterpretq_u32_f32(a)));
+    }
 };
 
 const SimdKernels kNeonTable = {
@@ -161,6 +171,13 @@ const SimdKernels kNeonTable = {
     &vec::matmul_a_bt_rows<VecNeon>,
     &vec::aggregate_rows<VecNeon>,
     &vec::aggregate_t_rows<VecNeon>,
+    &vec::relu<VecNeon>,
+    &vec::relu_backward<VecNeon>,
+    &vec::add<VecNeon>,
+    &vec::sub<VecNeon>,
+    &vec::scale<VecNeon>,
+    &vec::fill<VecNeon>,
+    &vec::adam_update<VecNeon>,
 };
 
 }  // namespace

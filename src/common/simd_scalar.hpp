@@ -10,9 +10,11 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
+#include "common/simd.hpp"
 #include "numeric/fixed_point.hpp"
 
 namespace fare::simd::scalar {
@@ -231,6 +233,45 @@ inline void aggregate_t_rows(const std::size_t* t_offsets,
             const float* __restrict xrow = x + t_src[t] * feat;
             for (std::size_t f = 0; f < feat; ++f) yrow[f] += w * xrow[f];
         }
+    }
+}
+
+// Elementwise passes. No __restrict: outputs may alias inputs exactly.
+
+inline void relu(const float* x, float* y, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
+}
+
+inline void relu_backward(const float* g, const float* pre, float* out,
+                          std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = !(pre[i] <= 0.0f) ? g[i] : 0.0f;
+}
+
+inline void add(float* dst, const float* src, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) dst[i] += src[i];
+}
+
+inline void sub(float* dst, const float* src, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) dst[i] -= src[i];
+}
+
+inline void scale(float* dst, float s, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) dst[i] *= s;
+}
+
+inline void fill(float* dst, float v, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) dst[i] = v;
+}
+
+inline void adam_update(float* p, const float* g, float* m, float* v,
+                        std::size_t n, const AdamStep& s) {
+    const float c1 = 1.0f - s.beta1, c2 = 1.0f - s.beta2;
+    for (std::size_t i = 0; i < n; ++i) {
+        m[i] = s.beta1 * m[i] + c1 * g[i];
+        v[i] = s.beta2 * v[i] + c2 * g[i] * g[i];
+        const float mhat = m[i] / s.bc1;
+        const float vhat = v[i] / s.bc2;
+        p[i] -= s.lr * mhat / (std::sqrt(vhat) + s.eps);
     }
 }
 

@@ -1,7 +1,11 @@
 #include "fare/baselines.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -15,27 +19,6 @@ Matrix IdealQuantizedHardware::effective_weights(std::size_t, const Matrix& w) {
 }
 
 namespace {
-
-/// Flattened mask of the bottom `fraction` of weights by |w|. Ties break on
-/// flat index (stable sort), so the mask is a deterministic pure function of
-/// the weights — identical across threads, workers and reruns.
-std::vector<std::uint8_t> significance_prune_mask(const Matrix& w,
-                                                  double fraction) {
-    FARE_CHECK(fraction >= 0.0 && fraction < 1.0, "prune fraction outside [0,1)");
-    const std::size_t total = w.size();
-    const auto k = static_cast<std::size_t>(fraction * static_cast<double>(total));
-    std::vector<std::uint8_t> mask(total, 0);
-    if (k == 0) return mask;
-    const auto flat = w.flat();
-    std::vector<std::uint32_t> order(total);
-    for (std::size_t i = 0; i < total; ++i) order[i] = static_cast<std::uint32_t>(i);
-    std::stable_sort(order.begin(), order.end(),
-                     [&flat](std::uint32_t a, std::uint32_t b) {
-                         return std::abs(flat[a]) < std::abs(flat[b]);
-                     });
-    for (std::size_t i = 0; i < k; ++i) mask[order[i]] = 1;
-    return mask;
-}
 
 /// (off-home-tile, with-home) block counts of one batch mapping. Host
 /// blocks never appear in assignments; blocks without a partition-derived
@@ -55,6 +38,33 @@ std::pair<std::size_t, std::size_t> off_tile_counts(const AdjacencyMapping& m,
 }
 
 }  // namespace
+
+std::vector<std::uint8_t> significance_prune_mask(const Matrix& w,
+                                                  double fraction) {
+    FARE_CHECK(fraction >= 0.0 && fraction < 1.0, "prune fraction outside [0,1)");
+    const std::size_t total = w.size();
+    FARE_CHECK(total <= std::numeric_limits<std::uint32_t>::max(),
+               "prune mask indexes weights with 32 bits");
+    const auto k = static_cast<std::size_t>(fraction * static_cast<double>(total));
+    std::vector<std::uint8_t> mask(total, 0);
+    if (k == 0) return mask;
+    // One unique key per weight, (|w| bits << 32) | flat index: for
+    // non-negative floats the bit pattern orders like the value, so the k
+    // smallest keys are the bottom k by |w| with ties on the lower index.
+    // Subnormal magnitudes key as 0, which is how the training loop's
+    // denormals-are-zero mode compares them; NaN keys above +inf.
+    const auto flat = w.flat();
+    std::vector<std::uint64_t> keys(total);
+    for (std::size_t i = 0; i < total; ++i) {
+        std::uint32_t mag = std::bit_cast<std::uint32_t>(flat[i]) & 0x7FFFFFFFu;
+        if (mag < 0x00800000u) mag = 0;  // ±0 and subnormals
+        keys[i] = (std::uint64_t{mag} << 32) | i;
+    }
+    std::nth_element(keys.begin(), keys.begin() + static_cast<std::ptrdiff_t>(k),
+                     keys.end());
+    for (std::size_t i = 0; i < k; ++i) mask[keys[i] & 0xFFFFFFFFu] = 1;
+    return mask;
+}
 
 FaultyHardwareConfig to_hardware_config(const FaultScenario& scenario,
                                         const HardwareOverrides& hw,

@@ -28,6 +28,7 @@
 // filtered by the scheme's column repair.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -62,6 +63,16 @@ FaultyHardwareConfig to_hardware_config(const FaultScenario& scenario,
                                         const HardwareOverrides& hw,
                                         std::uint64_t seed,
                                         std::size_t train_epochs);
+
+/// Significance-pruning mask over w's flat elements: 1 for the bottom
+/// floor(fraction * size) weights by |w|, ties broken on the lower flat
+/// index. A pure function of the weights, identical across threads, workers,
+/// reruns and FP modes. Subnormal magnitudes rank as zero (the training loop
+/// runs with denormals-are-zero, so that is how its comparisons saw them)
+/// and NaN ranks above every number, so a NaN weight is pruned only once
+/// every other weight is. O(size) via nth_element.
+std::vector<std::uint8_t> significance_prune_mask(const Matrix& w,
+                                                  double fraction);
 
 /// Ideal hardware: weights round-trip the 16-bit fixed-point grid, adjacency
 /// is exact. The fault-free baseline every figure normalises against.

@@ -3,18 +3,16 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/simd.hpp"
 
 namespace fare {
 
-// Both write every output element once through a select: no copy first, no
-// conditional store. `v > 0 ? v : 0` maps -0 and NaN to +0 (std::max would
-// not), and `!(pre <= 0) ? g : 0` keeps the gradient under a NaN
-// pre-activation.
+// Both write every output element once into an uninitialised matrix,
+// through the SIMD table's branch-free select (common/simd.hpp): -0 and NaN
+// map to +0, and a NaN pre-activation keeps the gradient.
 Matrix relu(const Matrix& x) {
     Matrix y = Matrix::uninitialized(x.rows(), x.cols());
-    const auto in = x.flat();
-    const auto out = y.flat();
-    for (std::size_t i = 0; i < out.size(); ++i) out[i] = in[i] > 0.0f ? in[i] : 0.0f;
+    simd::kernels().relu(x.flat().data(), y.flat().data(), y.size());
     return y;
 }
 
@@ -22,10 +20,8 @@ Matrix relu_backward(const Matrix& grad, const Matrix& pre) {
     FARE_CHECK(grad.rows() == pre.rows() && grad.cols() == pre.cols(),
                "relu_backward shape mismatch");
     Matrix g = Matrix::uninitialized(grad.rows(), grad.cols());
-    const auto gin = grad.flat();
-    const auto p = pre.flat();
-    const auto out = g.flat();
-    for (std::size_t i = 0; i < out.size(); ++i) out[i] = !(p[i] <= 0.0f) ? gin[i] : 0.0f;
+    simd::kernels().relu_backward(grad.flat().data(), pre.flat().data(),
+                                  g.flat().data(), g.size());
     return g;
 }
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/simd.hpp"
 
 namespace fare {
 
@@ -23,18 +24,15 @@ void Adam::step(const std::vector<Matrix*>& params, const std::vector<Matrix*>& 
     ++t_;
     const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
     const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
+    const simd::AdamStep step{lr_, beta1_, beta2_, eps_, bc1, bc2};
+    const simd::SimdKernels& k = simd::kernels();
     for (std::size_t i = 0; i < params.size(); ++i) {
-        auto p = params[i]->flat();
-        auto g = grads[i]->flat();
-        auto m = m_[i].flat();
-        auto v = v_[i].flat();
-        for (std::size_t j = 0; j < p.size(); ++j) {
-            m[j] = beta1_ * m[j] + (1.0f - beta1_) * g[j];
-            v[j] = beta2_ * v[j] + (1.0f - beta2_) * g[j] * g[j];
-            const float mhat = m[j] / bc1;
-            const float vhat = v[j] / bc2;
-            p[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-        }
+        FARE_CHECK(grads[i]->size() == params[i]->size() &&
+                       m_[i].size() == params[i]->size(),
+                   "param/grad/state size mismatch");
+        k.adam_update(params[i]->flat().data(), grads[i]->flat().data(),
+                      m_[i].flat().data(), v_[i].flat().data(), params[i]->size(),
+                      step);
     }
 }
 

@@ -11,7 +11,10 @@
 namespace fare {
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, float fill)
-    : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
+    : rows_(rows), cols_(cols) {
+    data_.resize(rows * cols);  // default-init, then one vector fill pass
+    simd::kernels().fill(data_.data(), fill, data_.size());
+}
 
 Matrix Matrix::uninitialized(std::size_t rows, std::size_t cols) {
     Matrix m;
@@ -46,9 +49,7 @@ void Matrix::xavier_init(Rng& rng) {
     for (auto& v : data_) v = rng.uniform(-limit, limit);
 }
 
-void Matrix::fill(float v) {
-    for (auto& x : data_) x = v;
-}
+void Matrix::fill(float v) { simd::kernels().fill(data_.data(), v, data_.size()); }
 
 Matrix Matrix::transposed() const {
     Matrix t = Matrix::uninitialized(cols_, rows_);
@@ -71,18 +72,18 @@ float Matrix::max_abs() const {
 
 Matrix& Matrix::operator+=(const Matrix& other) {
     FARE_CHECK(rows_ == other.rows_ && cols_ == other.cols_, "shape mismatch in +=");
-    for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
+    simd::kernels().add(data_.data(), other.data_.data(), data_.size());
     return *this;
 }
 
 Matrix& Matrix::operator-=(const Matrix& other) {
     FARE_CHECK(rows_ == other.rows_ && cols_ == other.cols_, "shape mismatch in -=");
-    for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
+    simd::kernels().sub(data_.data(), other.data_.data(), data_.size());
     return *this;
 }
 
 Matrix& Matrix::operator*=(float scalar) {
-    for (auto& v : data_) v *= scalar;
+    simd::kernels().scale(data_.data(), scalar, data_.size());
     return *this;
 }
 

@@ -1,13 +1,30 @@
 #include "nn/activations.hpp"
 
 #include "common/error.hpp"
+#include "common/simd.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 namespace fare {
 namespace {
+
+/// The kernel tables the relu tests run on: the scalar oracle and the
+/// detected ISA (scalar again on a host without a vector table).
+std::vector<simd::SimdIsa> tables() {
+    return {simd::SimdIsa::kScalar, simd::detected_isa()};
+}
+
+/// 1 x 19 matrix repeating `pattern`: two 8-lane AVX2 bodies (four 4-lane
+/// NEON ones) and a ragged scalar tail of 3.
+Matrix tiled(std::initializer_list<float> pattern) {
+    const std::vector<float> p(pattern);
+    Matrix m(1, 19);
+    for (std::size_t i = 0; i < m.size(); ++i) m.flat()[i] = p[i % p.size()];
+    return m;
+}
 
 TEST(ActivationsTest, ReluClampsNegatives) {
     Matrix x{{-1.0f, 0.0f, 2.0f}};
@@ -18,28 +35,43 @@ TEST(ActivationsTest, ReluClampsNegatives) {
 }
 
 TEST(ActivationsTest, ReluBackwardMasksByPreActivation) {
-    Matrix pre{{-1.0f, 0.5f}};
-    Matrix grad{{3.0f, 3.0f}};
-    const Matrix g = relu_backward(grad, pre);
-    EXPECT_FLOAT_EQ(g(0, 0), 0.0f);
-    EXPECT_FLOAT_EQ(g(0, 1), 3.0f);
+    for (const simd::SimdIsa isa : tables()) {
+        simd::SimdIsaScope pin(isa);
+        const Matrix g = relu_backward(tiled({3.0f}), tiled({-1.0f, 0.5f}));
+        for (std::size_t i = 0; i < g.size(); ++i)
+            EXPECT_FLOAT_EQ(g.flat()[i], i % 2 == 0 ? 0.0f : 3.0f)
+                << simd::isa_name(isa) << " " << i;
+    }
 }
 
 TEST(ActivationsTest, ReluSignedZeroAndNaN) {
     const float nan = std::nanf("");
-    const Matrix y = relu(Matrix{{-0.0f, nan, -2.0f}});
-    for (std::size_t c = 0; c < 3; ++c) {
-        EXPECT_EQ(y(0, c), 0.0f) << c;
-        EXPECT_FALSE(std::signbit(y(0, c))) << c;  // +0, never -0
+    for (const simd::SimdIsa isa : tables()) {
+        simd::SimdIsaScope pin(isa);
+        const Matrix y = relu(tiled({-0.0f, nan, -2.0f}));
+        for (std::size_t i = 0; i < y.size(); ++i) {
+            EXPECT_EQ(y.flat()[i], 0.0f) << simd::isa_name(isa) << " " << i;
+            EXPECT_FALSE(std::signbit(y.flat()[i]))  // +0, never -0
+                << simd::isa_name(isa) << " " << i;
+        }
+        // A NaN pre-activation keeps the gradient (it is not <= 0); +-0
+        // zeroes it.
+        const Matrix g = relu_backward(tiled({5.0f, 5.0f, 5.0f, -0.0f}),
+                                       tiled({nan, -0.0f, 0.0f, 1.0f}));
+        for (std::size_t i = 0; i < g.size(); ++i) {
+            const float out = g.flat()[i];
+            switch (i % 4) {
+                case 0: EXPECT_EQ(out, 5.0f) << simd::isa_name(isa) << " " << i; break;
+                case 1:
+                case 2:
+                    EXPECT_EQ(out, 0.0f) << simd::isa_name(isa) << " " << i;
+                    EXPECT_FALSE(std::signbit(out)) << simd::isa_name(isa) << " " << i;
+                    break;
+                default:  // the gradient passes through as is
+                    EXPECT_TRUE(std::signbit(out)) << simd::isa_name(isa) << " " << i;
+            }
+        }
     }
-    // A NaN pre-activation keeps the gradient (it is not <= 0); +-0 zeroes it.
-    const Matrix g = relu_backward(Matrix{{5.0f, 5.0f, 5.0f, -0.0f}},
-                                   Matrix{{nan, -0.0f, 0.0f, 1.0f}});
-    EXPECT_EQ(g(0, 0), 5.0f);
-    EXPECT_EQ(g(0, 1), 0.0f);
-    EXPECT_FALSE(std::signbit(g(0, 1)));
-    EXPECT_EQ(g(0, 2), 0.0f);
-    EXPECT_TRUE(std::signbit(g(0, 3)));  // the gradient passes through as is
 }
 
 TEST(ActivationsTest, LeakyReluSlope) {

@@ -4,8 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <numeric>
+#include <random>
+#include <vector>
 
+#include "common/fp_mode.hpp"
 #include "common/rng.hpp"
 #include "fare/scenario.hpp"
 
@@ -152,6 +159,81 @@ TEST(FaultyHardwareTest, PruningZeroesBottomWeightsAndMasksFaults) {
     for (std::size_t i = 0; i < k; ++i)
         if (dense_out.flat()[order[i]] != 0.0f) ++nonzero;
     EXPECT_GT(nonzero, 0u);
+}
+
+/// The O(n log n) mask significance_prune_mask replaced: stable-sort the
+/// flat indices by `mag`, mark the first floor(fraction * size).
+template <class Mag>
+std::vector<std::uint8_t> stable_sort_prune_mask(const Matrix& w, double fraction,
+                                                 Mag mag) {
+    const auto flat = w.flat();
+    const auto k = static_cast<std::size_t>(fraction * static_cast<double>(w.size()));
+    std::vector<std::uint32_t> order(w.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::stable_sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+        return mag(flat[a]) < mag(flat[b]);
+    });
+    std::vector<std::uint8_t> mask(w.size(), 0);
+    for (std::size_t i = 0; i < k; ++i) mask[order[i]] = 1;
+    return mask;
+}
+
+/// |x|, with subnormal magnitudes ranked as zero.
+float flushed_magnitude(float x) {
+    return std::fpclassify(x) == FP_SUBNORMAL ? 0.0f : std::fabs(x);
+}
+
+/// 1 x n weights drawn mostly from a small pool (many ties, ±0, ±subnormals,
+/// ±inf), with some uniform values in between.
+Matrix tie_heavy_weights(std::mt19937& gen, std::size_t n) {
+    const float sub = std::numeric_limits<float>::denorm_min();
+    const float pool[] = {0.0f,  -0.0f, sub,   -sub,  1e-40f, -1e-40f,
+                          std::numeric_limits<float>::min(), 0.5f, -0.5f, 1.0f,
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()};
+    std::uniform_int_distribution<std::size_t> pick(0, std::size(pool) + 3);
+    std::uniform_real_distribution<float> uniform(-2.0f, 2.0f);
+    Matrix w(1, n);
+    for (float& x : w.flat()) {
+        const std::size_t i = pick(gen);
+        x = i < std::size(pool) ? pool[i] : uniform(gen);
+    }
+    return w;
+}
+
+TEST(SignificancePruneMaskTest, MatchesStableSortOnTiesZerosAndSubnormals) {
+    std::mt19937 gen(2106);
+    for (const std::size_t n : {1u, 2u, 3u, 7u, 8u, 9u, 31u, 64u, 100u, 257u, 1000u}) {
+        const Matrix w = tie_heavy_weights(gen, n);
+        for (const double fraction : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999}) {
+            const std::vector<std::uint8_t> mask = significance_prune_mask(w, fraction);
+            EXPECT_EQ(mask, stable_sort_prune_mask(w, fraction, flushed_magnitude))
+                << "n=" << n << " fraction=" << fraction;
+            // With subnormals flushed, the old comparator on raw |w| sees the
+            // same order the training loop gave it.
+            FlushDenormalsScope flush;
+            volatile float tiny = 1e-40f;
+            if (tiny != 0.0f) continue;  // no flush mode on this target
+            EXPECT_EQ(mask, stable_sort_prune_mask(w, fraction,
+                                                   [](float x) { return std::fabs(x); }))
+                << "flushed n=" << n << " fraction=" << fraction;
+        }
+    }
+}
+
+TEST(SignificancePruneMaskTest, NaNRanksAboveEveryNumber) {
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const Matrix w{{nan, 3.0f, -inf, -nan, 0.0f, 1.0f, nan, -2.0f}};
+    // Bottom 5 of the 5 numbers: every number, no NaN.
+    EXPECT_EQ(significance_prune_mask(w, 5.0 / 8.0),
+              (std::vector<std::uint8_t>{0, 1, 1, 0, 1, 1, 0, 1}));
+    // Beyond them, NaNs go by flat index.
+    EXPECT_EQ(significance_prune_mask(w, 6.0 / 8.0),
+              (std::vector<std::uint8_t>{1, 1, 1, 0, 1, 1, 0, 1}));
+    EXPECT_EQ(significance_prune_mask(w, 0.25),
+              (std::vector<std::uint8_t>{0, 0, 0, 0, 1, 1, 0, 0}));
+    EXPECT_THROW(significance_prune_mask(w, 1.0), InvalidArgument);
 }
 
 TEST(FaultyHardwareTest, NrPermutationReducesWeightDamage) {

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <random>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/simd.hpp"
 
 namespace fare {
 namespace {
@@ -50,6 +54,39 @@ TEST(AdamTest, ZeroGradientNoMove) {
     Matrix grad(1, 1, 0.0f);
     adam.step({&w}, {&grad});
     EXPECT_FLOAT_EQ(w(0, 0), 1.0f);
+}
+
+/// Five Adam steps on ragged parameter shapes with the given kernel table.
+std::vector<Matrix> adam_steps_on(simd::SimdIsa isa) {
+    simd::SimdIsaScope pin(isa);
+    std::mt19937 gen(1412);
+    std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
+    std::vector<Matrix> params{Matrix(1, 1), Matrix(3, 7), Matrix(16, 9)};
+    std::vector<Matrix> grads = params;
+    for (Matrix& p : params)
+        for (float& x : p.flat()) x = dist(gen);
+    std::vector<Matrix*> pp, gp;
+    for (std::size_t i = 0; i < params.size(); ++i) {
+        pp.push_back(&params[i]);
+        gp.push_back(&grads[i]);
+    }
+    Adam adam(0.01f);
+    for (int step = 0; step < 5; ++step) {
+        for (Matrix& g : grads)
+            for (float& x : g.flat()) x = dist(gen) * (step == 3 ? 1e-30f : 1.0f);
+        adam.step(pp, gp);
+    }
+    return params;
+}
+
+TEST(AdamTest, ByteIdenticalOnScalarAndDetectedTables) {
+    const std::vector<Matrix> scalar = adam_steps_on(simd::SimdIsa::kScalar);
+    const std::vector<Matrix> detected = adam_steps_on(simd::detected_isa());
+    ASSERT_EQ(scalar.size(), detected.size());
+    for (std::size_t i = 0; i < scalar.size(); ++i)
+        EXPECT_EQ(0, std::memcmp(scalar[i].flat().data(), detected[i].flat().data(),
+                                 scalar[i].size() * sizeof(float)))
+            << "param " << i << " on " << simd::isa_name(simd::detected_isa());
 }
 
 TEST(SgdTest, MomentumAccumulates) {
