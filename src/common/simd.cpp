@@ -24,8 +24,8 @@ constexpr SimdKernels kScalarKernels = {
     &scalar::matmul_a_bt_rows,  &scalar::aggregate_rows,
     &scalar::aggregate_t_rows,  &scalar::relu,
     &scalar::relu_backward,     &scalar::add,
-    &scalar::sub,               &scalar::scale,
-    &scalar::fill,              &scalar::adam_update,
+    &scalar::scale,             &scalar::fill,
+    &scalar::adam_update,
 };
 
 const SimdKernels* table_for(SimdIsa isa) {

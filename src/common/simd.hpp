@@ -3,7 +3,7 @@
 // The hot passes — quantise/dequantise (numeric/quantize.cpp), the
 // compiled-overlay fix-up + clip (reram/compiled_overlay.cpp), the blocked
 // GEMMs (numeric/matrix.cpp), the sparse aggregation (gnn/batch_view.cpp)
-// and the dense elementwise passes of training (Matrix +=/-=/*=/fill,
+// and the dense elementwise passes of training (Matrix +=/*=/fill,
 // nn/activations.cpp's relu pair, nn/optimizer.cpp's Adam update) — all run
 // through the function-pointer table below.
 // One table exists per instruction set the build knows about (scalar always;
@@ -142,8 +142,6 @@ struct SimdKernels {
                           std::size_t n);
     /// dst[i] += src[i].
     void (*add)(float* dst, const float* src, std::size_t n);
-    /// dst[i] -= src[i].
-    void (*sub)(float* dst, const float* src, std::size_t n);
     /// dst[i] *= s.
     void (*scale)(float* dst, float s, std::size_t n);
     /// dst[i] = v.

@@ -190,7 +190,6 @@ const SimdKernels kAvx2Table = {
     &vec::relu<VecAvx2>,
     &vec::relu_backward<VecAvx2>,
     &vec::add<VecAvx2>,
-    &vec::sub<VecAvx2>,
     &vec::scale<VecAvx2>,
     &vec::fill<VecAvx2>,
     &vec::adam_update<VecAvx2>,

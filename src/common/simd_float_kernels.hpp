@@ -349,15 +349,6 @@ void add(float* dst, const float* src, std::size_t n) {
 }
 
 template <class V>
-void sub(float* dst, const float* src, std::size_t n) {
-    constexpr std::size_t W = V::kWidth;
-    std::size_t i = 0;
-    for (; i + W <= n; i += W)
-        V::store(dst + i, V::sub(V::load(dst + i), V::load(src + i)));
-    if (i < n) scalar::sub(dst + i, src + i, n - i);
-}
-
-template <class V>
 void scale(float* dst, float s, std::size_t n) {
     constexpr std::size_t W = V::kWidth;
     const typename V::Reg sv = V::broadcast(s);

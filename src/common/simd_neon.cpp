@@ -174,7 +174,6 @@ const SimdKernels kNeonTable = {
     &vec::relu<VecNeon>,
     &vec::relu_backward<VecNeon>,
     &vec::add<VecNeon>,
-    &vec::sub<VecNeon>,
     &vec::scale<VecNeon>,
     &vec::fill<VecNeon>,
     &vec::adam_update<VecNeon>,

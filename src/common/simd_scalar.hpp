@@ -251,10 +251,6 @@ inline void add(float* dst, const float* src, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) dst[i] += src[i];
 }
 
-inline void sub(float* dst, const float* src, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) dst[i] -= src[i];
-}
-
 inline void scale(float* dst, float s, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) dst[i] *= s;
 }

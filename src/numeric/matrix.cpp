@@ -78,7 +78,7 @@ Matrix& Matrix::operator+=(const Matrix& other) {
 
 Matrix& Matrix::operator-=(const Matrix& other) {
     FARE_CHECK(rows_ == other.rows_ && cols_ == other.cols_, "shape mismatch in -=");
-    simd::kernels().sub(data_.data(), other.data_.data(), data_.size());
+    for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
     return *this;
 }
 

@@ -28,8 +28,10 @@ inline constexpr std::size_t kDataAlignment = 64;
 ///     aligned operator new, no manual over-allocate-and-offset);
 ///  2. plain construct() default-initialises, so vector::resize leaves
 ///     trivial elements uninitialised. Only used behind
-///     Matrix::uninitialized() and quantise outputs, where every element is
-///     overwritten before any read — skips a redundant memset.
+///     Matrix::uninitialized(), Matrix(rows, cols, fill) — which overwrites
+///     every element through simd::kernels().fill straight after resize —
+///     and quantise outputs, where every element is overwritten before any
+///     read; skips a redundant memset.
 template <typename T>
 struct AlignedAllocator {
     using value_type = T;
