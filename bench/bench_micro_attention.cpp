@@ -5,14 +5,18 @@
 // fix-up — the per-refresh cost every training step pays after an optimizer
 // update). All GEMMs route through the PR 8 runtime-dispatched SIMD tables,
 // so this binary tracks the same kernels as bench_micro_mvm but on the
-// attention-shaped (seq_len x d_model) operands.
+// attention-shaped (seq_len x d_model) operands. The GEMM benches time the
+// three Matrix GEMM entries alone on one worker, at the transformer's
+// (M = 16) shapes and at a 330-row one.
 #include <benchmark/benchmark.h>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "fare/baselines.hpp"
 #include "models/transformer/seq_dataset.hpp"
 #include "models/transformer/transformer_model.hpp"
 #include "nn/loss.hpp"
+#include "numeric/matrix.hpp"
 
 namespace {
 
@@ -102,5 +106,39 @@ void BM_TransformerWeightRefresh(benchmark::State& state) {
     state.counters["params"] = static_cast<double>(params.size());
 }
 BENCHMARK(BM_TransformerWeightRefresh)->Arg(32)->Arg(64);
+
+Matrix bench_matrix(std::size_t rows, std::size_t cols, std::uint64_t seed) {
+    Rng rng(seed);
+    Matrix m(rows, cols);
+    for (auto& v : m.flat()) v = rng.uniform(-1.0f, 1.0f);
+    return m;
+}
+
+/// c (M x N) = op(a) * op(b) over inner dimension K; each GEMM's operands
+/// are laid out the way that entry reads them.
+template <Matrix (*Gemm)(const Matrix&, const Matrix&), bool kTransA, bool kTransB>
+void BM_Gemm(benchmark::State& state) {
+    const auto m = static_cast<std::size_t>(state.range(0));
+    const auto k = static_cast<std::size_t>(state.range(1));
+    const auto n = static_cast<std::size_t>(state.range(2));
+    const Matrix a = kTransA ? bench_matrix(k, m, 1) : bench_matrix(m, k, 1);
+    const Matrix b = kTransB ? bench_matrix(n, k, 2) : bench_matrix(k, n, 2);
+    ParallelWidthScope serial(1);
+    for (auto _ : state) benchmark::DoNotOptimize(Gemm(a, b));
+}
+
+void BM_Matmul(benchmark::State& state) { BM_Gemm<&matmul, false, false>(state); }
+void BM_MatmulAtB(benchmark::State& state) { BM_Gemm<&matmul_at_b, true, false>(state); }
+void BM_MatmulABt(benchmark::State& state) { BM_Gemm<&matmul_a_bt, false, true>(state); }
+
+void gemm_shapes(benchmark::internal::Benchmark* bench) {
+    bench->ArgNames({"m", "k", "n"})
+        ->Args({16, 32, 32})
+        ->Args({16, 64, 32})
+        ->Args({330, 32, 32});
+}
+BENCHMARK(BM_Matmul)->Apply(gemm_shapes);
+BENCHMARK(BM_MatmulAtB)->Apply(gemm_shapes);
+BENCHMARK(BM_MatmulABt)->Apply(gemm_shapes);
 
 }  // namespace

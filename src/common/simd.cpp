@@ -56,6 +56,10 @@ int env_isa() {
 /// Programmatic override; -1 = none. Wins over FARE_SIMD.
 std::atomic<int> g_override{-1};
 
+/// The table kernels() returns, or nullptr until the first call resolves
+/// it. Every override change republishes it, so the hot path is one load.
+std::atomic<const SimdKernels*> g_active{nullptr};
+
 /// Degrade an ISA request the host cannot execute to scalar: results are
 /// bit-identical by contract, so a fleet-wide FARE_SIMD=neon simply runs
 /// scalar on its x86 nodes. detected_isa() is already build ∩ CPU, and each
@@ -104,12 +108,14 @@ SimdIsa active_isa() {
 SimdIsa set_isa(SimdIsa isa) {
     const SimdIsa effective = clamp_to_supported(isa);
     g_override.store(static_cast<int>(effective), std::memory_order_release);
+    g_active.store(table_for(effective), std::memory_order_release);
     return effective;
 }
 
 SimdIsa set_isa_mode(const std::string& mode) {
     if (mode == "auto") {
         g_override.store(-1, std::memory_order_release);
+        g_active.store(table_for(active_isa()), std::memory_order_release);
         return active_isa();
     }
     if (mode == "scalar") return set_isa(SimdIsa::kScalar);
@@ -119,7 +125,17 @@ SimdIsa set_isa_mode(const std::string& mode) {
                           mode + "'");
 }
 
-const SimdKernels& kernels() { return kernels(active_isa()); }
+const SimdKernels& kernels() {
+    const SimdKernels* table = g_active.load(std::memory_order_acquire);
+    if (table != nullptr) return *table;
+    // First call: resolve FARE_SIMD (throws on a malformed value, leaving the
+    // table unresolved) unless an override was published meanwhile.
+    const SimdKernels* resolved = table_for(active_isa());
+    return g_active.compare_exchange_strong(table, resolved,
+                                            std::memory_order_acq_rel)
+               ? *resolved
+               : *table;
+}
 
 const SimdKernels& kernels(SimdIsa isa) {
     FARE_CHECK(isa == SimdIsa::kScalar || isa == detected_isa(),
@@ -128,12 +144,14 @@ const SimdKernels& kernels(SimdIsa isa) {
 }
 
 SimdIsaScope::SimdIsaScope(SimdIsa isa)
-    : previous_(g_override.load(std::memory_order_acquire)) {
+    : previous_(g_override.load(std::memory_order_acquire)),
+      previous_table_(g_active.load(std::memory_order_acquire)) {
     set_isa(isa);
 }
 
 SimdIsaScope::~SimdIsaScope() {
     g_override.store(previous_, std::memory_order_release);
+    g_active.store(previous_table_, std::memory_order_release);
 }
 
 }  // namespace fare::simd

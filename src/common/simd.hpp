@@ -151,7 +151,9 @@ struct SimdKernels {
                         std::size_t n, const AdamStep& step);
 };
 
-/// Table for the active ISA (one relaxed atomic load on the hot path).
+/// Table for the active ISA: one atomic load of a pointer resolved on the
+/// first call (FARE_SIMD, throwing InvalidArgument on a malformed value) and
+/// republished by set_isa, set_isa_mode and SimdIsaScope.
 const SimdKernels& kernels();
 
 /// Table for a specific ISA; kScalar is always available. Requesting a
@@ -169,7 +171,8 @@ public:
     SimdIsaScope& operator=(const SimdIsaScope&) = delete;
 
 private:
-    int previous_;  // -1 = no override was set
+    int previous_;                         // -1 = no override was set
+    const SimdKernels* previous_table_;    // nullptr = not yet resolved
 };
 
 }  // namespace fare::simd

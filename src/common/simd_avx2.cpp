@@ -173,6 +173,30 @@ struct VecAvx2 {
     static Reg gt(Reg a, Reg b) { return _mm256_cmp_ps(a, b, _CMP_GT_OQ); }
     static Reg not_le(Reg a, Reg b) { return _mm256_cmp_ps(a, b, _CMP_NLE_UQ); }
     static Reg keep(Reg mask, Reg a) { return _mm256_and_ps(mask, a); }
+    // rows[q] becomes column q of the 8 x 8 block: interleave pairs of rows,
+    // then pairs of pairs, then swap 128-bit halves. Pure data movement.
+    static void transpose(Reg (&rows)[8]) {
+        const Reg t0 = _mm256_unpacklo_ps(rows[0], rows[1]);
+        const Reg t1 = _mm256_unpackhi_ps(rows[0], rows[1]);
+        const Reg t2 = _mm256_unpacklo_ps(rows[2], rows[3]);
+        const Reg t3 = _mm256_unpackhi_ps(rows[2], rows[3]);
+        const Reg t4 = _mm256_unpacklo_ps(rows[4], rows[5]);
+        const Reg t5 = _mm256_unpackhi_ps(rows[4], rows[5]);
+        const Reg t6 = _mm256_unpacklo_ps(rows[6], rows[7]);
+        const Reg t7 = _mm256_unpackhi_ps(rows[6], rows[7]);
+        const Reg u0 = _mm256_shuffle_ps(t0, t2, 0x44), u1 = _mm256_shuffle_ps(t0, t2, 0xEE);
+        const Reg u2 = _mm256_shuffle_ps(t1, t3, 0x44), u3 = _mm256_shuffle_ps(t1, t3, 0xEE);
+        const Reg u4 = _mm256_shuffle_ps(t4, t6, 0x44), u5 = _mm256_shuffle_ps(t4, t6, 0xEE);
+        const Reg u6 = _mm256_shuffle_ps(t5, t7, 0x44), u7 = _mm256_shuffle_ps(t5, t7, 0xEE);
+        rows[0] = _mm256_permute2f128_ps(u0, u4, 0x20);
+        rows[1] = _mm256_permute2f128_ps(u1, u5, 0x20);
+        rows[2] = _mm256_permute2f128_ps(u2, u6, 0x20);
+        rows[3] = _mm256_permute2f128_ps(u3, u7, 0x20);
+        rows[4] = _mm256_permute2f128_ps(u0, u4, 0x31);
+        rows[5] = _mm256_permute2f128_ps(u1, u5, 0x31);
+        rows[6] = _mm256_permute2f128_ps(u2, u6, 0x31);
+        rows[7] = _mm256_permute2f128_ps(u3, u7, 0x31);
+    }
 };
 
 const SimdKernels kAvx2Table = {

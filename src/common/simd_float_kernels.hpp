@@ -8,14 +8,18 @@
 //   V::gt(a, b)                     lane mask a > b (false on NaN)
 //   V::not_le(a, b)                 lane mask !(a <= b) (true on NaN)
 //   V::keep(mask, a)                a where mask is set, +0 elsewhere
+//   V::transpose(Reg (&rows)[kWidth])   optional: in-register transpose of
+//                                   a kWidth x kWidth block (matmul_a_bt's
+//                                   panel pack; without it the pack is scalar)
 //
 // Bit-identity rule baked into every kernel here: vectorise across OUTPUT
 // elements only. Each output element's partial products accumulate in
 // ascending-k (ascending-edge) order in a single lane, exactly like the
 // scalar oracle in simd_scalar.hpp — and mul/add stay separate ops (the
 // including TUs compile with -ffp-contract=off, so no FMA contraction).
-// Ragged tails (cols % kWidth != 0, rows % 4 != 0) fall back to the scalar
-// helpers, which follow the same accumulation order.
+// The three GEMMs share one register-tiled micro-kernel (detail::gemm_tile)
+// and differ only in how they read their operands. Ragged column tails
+// (cols % kWidth != 0) run scalar chains in the same accumulation order.
 //
 // The elementwise kernels at the end evaluate each element's scalar
 // expression with the same operations in the same order, so they match the
@@ -31,231 +35,175 @@
 
 namespace fare::simd::vec {
 
-/// c[i0..i1) = a[i0..i1) * b, 4-row x 2-register output tile. The j tail
-/// runs 1-register tiles then delegates the last < kWidth columns to the
-/// scalar kernel (restricted via a column offset would complicate it; the
-/// scalar tail instead recomputes only those columns through the plain
-/// per-row loop below).
-template <class V>
-void matmul_rows(const float* __restrict a, const float* __restrict b,
-                 float* __restrict c, std::size_t i0, std::size_t i1,
-                 std::size_t cols_a, std::size_t cols_b) {
+namespace detail {
+
+/// The one GEMM micro-kernel: an R-row x NR-register tile of c (R = 4 or 1,
+/// NR = 2 or 1) over kn steps of k. Row r's k-th multiplier is
+/// a[r * ars + k * aks]; the k-th row of the column panel starts at
+/// b + k * bks. The tile starts from +0, or from the partial sums already
+/// in c when resume is set, so each element's chain runs ascending k across
+/// calls. The constant-trip r/n loops unroll into R * NR independent
+/// accumulator registers; always_inline lets each caller's constant strides
+/// and resume flag fold into the loop.
+template <class V, std::size_t R, std::size_t NR>
+[[gnu::always_inline]] inline void gemm_tile(
+    const float* __restrict a, std::size_t ars, std::size_t aks,
+    const float* __restrict b, std::size_t bks, float* __restrict c,
+    std::size_t ldc, std::size_t kn, bool resume) {
     constexpr std::size_t W = V::kWidth;
-    const std::size_t K = cols_a, N = cols_b;
-    const std::size_t n2 = N - N % (2 * W);   // 2-register j blocks end here
-    const std::size_t n1 = N - N % W;         // 1-register j blocks end here
-    std::size_t i = i0;
-    for (; i + 4 <= i1; i += 4) {
-        const float* __restrict a0 = a + (i + 0) * K;
-        const float* __restrict a1 = a + (i + 1) * K;
-        const float* __restrict a2 = a + (i + 2) * K;
-        const float* __restrict a3 = a + (i + 3) * K;
-        std::size_t j = 0;
-        for (; j < n2; j += 2 * W) {
-            typename V::Reg c00 = V::zero(), c01 = V::zero();
-            typename V::Reg c10 = V::zero(), c11 = V::zero();
-            typename V::Reg c20 = V::zero(), c21 = V::zero();
-            typename V::Reg c30 = V::zero(), c31 = V::zero();
-            for (std::size_t k = 0; k < K; ++k) {
-                const float* __restrict brow = b + k * N + j;
-                const typename V::Reg b0 = V::load(brow);
-                const typename V::Reg b1 = V::load(brow + W);
-                typename V::Reg v = V::broadcast(a0[k]);
-                c00 = V::add(c00, V::mul(v, b0));
-                c01 = V::add(c01, V::mul(v, b1));
-                v = V::broadcast(a1[k]);
-                c10 = V::add(c10, V::mul(v, b0));
-                c11 = V::add(c11, V::mul(v, b1));
-                v = V::broadcast(a2[k]);
-                c20 = V::add(c20, V::mul(v, b0));
-                c21 = V::add(c21, V::mul(v, b1));
-                v = V::broadcast(a3[k]);
-                c30 = V::add(c30, V::mul(v, b0));
-                c31 = V::add(c31, V::mul(v, b1));
-            }
-            V::store(c + (i + 0) * N + j, c00);
-            V::store(c + (i + 0) * N + j + W, c01);
-            V::store(c + (i + 1) * N + j, c10);
-            V::store(c + (i + 1) * N + j + W, c11);
-            V::store(c + (i + 2) * N + j, c20);
-            V::store(c + (i + 2) * N + j + W, c21);
-            V::store(c + (i + 3) * N + j, c30);
-            V::store(c + (i + 3) * N + j + W, c31);
-        }
-        for (; j < n1; j += W) {
-            typename V::Reg c0 = V::zero(), c1 = V::zero(), c2 = V::zero(),
-                            c3 = V::zero();
-            for (std::size_t k = 0; k < K; ++k) {
-                const typename V::Reg bv = V::load(b + k * N + j);
-                c0 = V::add(c0, V::mul(V::broadcast(a0[k]), bv));
-                c1 = V::add(c1, V::mul(V::broadcast(a1[k]), bv));
-                c2 = V::add(c2, V::mul(V::broadcast(a2[k]), bv));
-                c3 = V::add(c3, V::mul(V::broadcast(a3[k]), bv));
-            }
-            V::store(c + (i + 0) * N + j, c0);
-            V::store(c + (i + 1) * N + j, c1);
-            V::store(c + (i + 2) * N + j, c2);
-            V::store(c + (i + 3) * N + j, c3);
-        }
-        for (; j < N; ++j) {
-            float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-            for (std::size_t k = 0; k < K; ++k) {
-                const float bj = b[k * N + j];
-                s0 += a0[k] * bj;
-                s1 += a1[k] * bj;
-                s2 += a2[k] * bj;
-                s3 += a3[k] * bj;
-            }
-            c[(i + 0) * N + j] = s0;
-            c[(i + 1) * N + j] = s1;
-            c[(i + 2) * N + j] = s2;
-            c[(i + 3) * N + j] = s3;
+    typename V::Reg acc[R][NR];
+#pragma GCC unroll 4
+    for (std::size_t r = 0; r < R; ++r)
+#pragma GCC unroll 2
+        for (std::size_t n = 0; n < NR; ++n)
+            acc[r][n] = resume ? V::load(c + r * ldc + n * W) : V::zero();
+    for (std::size_t k = 0; k < kn; ++k) {
+        typename V::Reg bv[NR];
+#pragma GCC unroll 2
+        for (std::size_t n = 0; n < NR; ++n) bv[n] = V::load(b + k * bks + n * W);
+#pragma GCC unroll 4
+        for (std::size_t r = 0; r < R; ++r) {
+            const typename V::Reg av = V::broadcast(a[r * ars + k * aks]);
+#pragma GCC unroll 2
+            for (std::size_t n = 0; n < NR; ++n)
+                acc[r][n] = V::add(acc[r][n], V::mul(av, bv[n]));
         }
     }
-    for (; i < i1; ++i) {
-        const float* __restrict arow = a + i * K;
-        std::size_t j = 0;
-        for (; j < n1; j += W) {
-            typename V::Reg acc = V::zero();
-            for (std::size_t k = 0; k < K; ++k)
-                acc = V::add(acc, V::mul(V::broadcast(arow[k]), V::load(b + k * N + j)));
-            V::store(c + i * N + j, acc);
-        }
-        for (; j < N; ++j) {
-            float s = 0.0f;
-            for (std::size_t k = 0; k < K; ++k) s += arow[k] * b[k * N + j];
-            c[i * N + j] = s;
-        }
-    }
+#pragma GCC unroll 4
+    for (std::size_t r = 0; r < R; ++r)
+#pragma GCC unroll 2
+        for (std::size_t n = 0; n < NR; ++n) V::store(c + r * ldc + n * W, acc[r][n]);
 }
 
-/// c[i0..i1) = (a^T)[i0..i1) * b: identical tiling to matmul_rows, but the
-/// per-row broadcasts come from column i of a (stride M = cols_a).
-template <class V>
-void matmul_at_b_rows(const float* __restrict a, const float* __restrict b,
-                      float* __restrict c, std::size_t i0, std::size_t i1,
-                      std::size_t rows_a, std::size_t cols_a,
-                      std::size_t cols_b) {
-    constexpr std::size_t W = V::kWidth;
-    const std::size_t K = rows_a, M = cols_a, N = cols_b;
-    const std::size_t n2 = N - N % (2 * W);
-    const std::size_t n1 = N - N % W;
+/// Rows [i0, i1) of one NR-register column panel (a_bt's packed b^T):
+/// 4-row tiles, then 1-row.
+template <class V, std::size_t NR>
+inline void gemm_panel(const float* a, std::size_t ars, std::size_t aks,
+                       const float* b, std::size_t bks, float* c, std::size_t ldc,
+                       std::size_t i0, std::size_t i1, std::size_t kn, bool resume) {
     std::size_t i = i0;
-    for (; i + 4 <= i1; i += 4) {
-        std::size_t j = 0;
-        for (; j < n2; j += 2 * W) {
-            typename V::Reg c00 = V::zero(), c01 = V::zero();
-            typename V::Reg c10 = V::zero(), c11 = V::zero();
-            typename V::Reg c20 = V::zero(), c21 = V::zero();
-            typename V::Reg c30 = V::zero(), c31 = V::zero();
-            for (std::size_t k = 0; k < K; ++k) {
-                const float* __restrict acol = a + k * M + i;
-                const float* __restrict brow = b + k * N + j;
-                const typename V::Reg b0 = V::load(brow);
-                const typename V::Reg b1 = V::load(brow + W);
-                typename V::Reg v = V::broadcast(acol[0]);
-                c00 = V::add(c00, V::mul(v, b0));
-                c01 = V::add(c01, V::mul(v, b1));
-                v = V::broadcast(acol[1]);
-                c10 = V::add(c10, V::mul(v, b0));
-                c11 = V::add(c11, V::mul(v, b1));
-                v = V::broadcast(acol[2]);
-                c20 = V::add(c20, V::mul(v, b0));
-                c21 = V::add(c21, V::mul(v, b1));
-                v = V::broadcast(acol[3]);
-                c30 = V::add(c30, V::mul(v, b0));
-                c31 = V::add(c31, V::mul(v, b1));
-            }
-            V::store(c + (i + 0) * N + j, c00);
-            V::store(c + (i + 0) * N + j + W, c01);
-            V::store(c + (i + 1) * N + j, c10);
-            V::store(c + (i + 1) * N + j + W, c11);
-            V::store(c + (i + 2) * N + j, c20);
-            V::store(c + (i + 2) * N + j + W, c21);
-            V::store(c + (i + 3) * N + j, c30);
-            V::store(c + (i + 3) * N + j + W, c31);
-        }
-        for (; j < n1; j += W) {
-            typename V::Reg c0 = V::zero(), c1 = V::zero(), c2 = V::zero(),
-                            c3 = V::zero();
-            for (std::size_t k = 0; k < K; ++k) {
-                const float* __restrict acol = a + k * M + i;
-                const typename V::Reg bv = V::load(b + k * N + j);
-                c0 = V::add(c0, V::mul(V::broadcast(acol[0]), bv));
-                c1 = V::add(c1, V::mul(V::broadcast(acol[1]), bv));
-                c2 = V::add(c2, V::mul(V::broadcast(acol[2]), bv));
-                c3 = V::add(c3, V::mul(V::broadcast(acol[3]), bv));
-            }
-            V::store(c + (i + 0) * N + j, c0);
-            V::store(c + (i + 1) * N + j, c1);
-            V::store(c + (i + 2) * N + j, c2);
-            V::store(c + (i + 3) * N + j, c3);
-        }
-        for (; j < N; ++j) {
-            float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-            for (std::size_t k = 0; k < K; ++k) {
-                const float* __restrict acol = a + k * M + i;
-                const float bj = b[k * N + j];
-                s0 += acol[0] * bj;
-                s1 += acol[1] * bj;
-                s2 += acol[2] * bj;
-                s3 += acol[3] * bj;
-            }
-            c[(i + 0) * N + j] = s0;
-            c[(i + 1) * N + j] = s1;
-            c[(i + 2) * N + j] = s2;
-            c[(i + 3) * N + j] = s3;
-        }
-    }
-    for (; i < i1; ++i) {
-        std::size_t j = 0;
-        for (; j < n1; j += W) {
-            typename V::Reg acc = V::zero();
-            for (std::size_t k = 0; k < K; ++k)
-                acc = V::add(acc,
-                             V::mul(V::broadcast(a[k * M + i]), V::load(b + k * N + j)));
-            V::store(c + i * N + j, acc);
-        }
-        for (; j < N; ++j) {
-            float s = 0.0f;
-            for (std::size_t k = 0; k < K; ++k) s += a[k * M + i] * b[k * N + j];
-            c[i * N + j] = s;
-        }
-    }
+    for (; i + 4 <= i1; i += 4)
+        gemm_tile<V, 4, NR>(a + i * ars, ars, aks, b, bks, c + i * ldc, ldc, kn,
+                            resume);
+    for (; i < i1; ++i)
+        gemm_tile<V, 1, NR>(a + i * ars, ars, aks, b, bks, c + i * ldc, ldc, kn,
+                            resume);
 }
 
-/// c[i0..i1) = a[i0..i1) * b^T, vectorised across output columns: kWidth
-/// rows of b are transposed into a contiguous k-major tile once per
-/// (j-block, k-chunk) and every output row streams through it. Each output
-/// element's chain still runs ascending k — later k-chunks resume from the
-/// partial sum stored in c. The last N % kWidth columns fall back to the
-/// scalar dot-product kernel.
-template <class V>
-void matmul_a_bt_rows(const float* __restrict a, const float* __restrict b,
-                      float* __restrict c, std::size_t i0, std::size_t i1,
-                      std::size_t cols_a, std::size_t rows_b) {
+/// R rows of c = A * b for row-major b (K x N), A(r, k) = a[r * ars + k * aks]:
+/// 2-register column tiles, one 1-register tile, then the last N % kWidth
+/// columns as scalar chains in the same ascending-k order.
+template <class V, std::size_t R>
+void gemm_row_block(const float* __restrict a, std::size_t ars, std::size_t aks,
+                    const float* __restrict b, float* __restrict c, std::size_t K,
+                    std::size_t N) {
     constexpr std::size_t W = V::kWidth;
-    constexpr std::size_t kKTile = 256;
-    const std::size_t K = cols_a, N = rows_b;
-    float buf[kKTile * W];
     std::size_t j = 0;
-    for (; j + W <= N; j += W) {
-        for (std::size_t k0 = 0; k0 < K; k0 += kKTile) {
-            const std::size_t kn = std::min(kKTile, K - k0);
-            for (std::size_t l = 0; l < W; ++l) {
-                const float* __restrict bl = b + (j + l) * K + k0;
-                for (std::size_t k = 0; k < kn; ++k) buf[k * W + l] = bl[k];
-            }
-            for (std::size_t i = i0; i < i1; ++i) {
-                const float* __restrict arow = a + i * K + k0;
-                typename V::Reg acc =
-                    k0 == 0 ? V::zero() : V::load(c + i * N + j);
-                for (std::size_t k = 0; k < kn; ++k)
-                    acc = V::add(acc, V::mul(V::broadcast(arow[k]), V::load(buf + k * W)));
-                V::store(c + i * N + j, acc);
+    for (; j + 2 * W <= N; j += 2 * W)
+        gemm_tile<V, R, 2>(a, ars, aks, b + j, N, c + j, N, K, false);
+    for (; j + W <= N; j += W)
+        gemm_tile<V, R, 1>(a, ars, aks, b + j, N, c + j, N, K, false);
+    for (; j < N; ++j)
+        for (std::size_t r = 0; r < R; ++r) {
+            float s = 0.0f;
+            for (std::size_t k = 0; k < K; ++k) s += a[r * ars + k * aks] * b[k * N + j];
+            c[r * N + j] = s;
+        }
+}
+
+/// Rows [i0, i1) of c = A * b, b read in place: each 4-row (then 1-row)
+/// block sweeps every column tile while its rows of A are hot.
+template <class V>
+void gemm_rows(const float* a, std::size_t ars, std::size_t aks, const float* b,
+               float* c, std::size_t i0, std::size_t i1, std::size_t K,
+               std::size_t N) {
+    std::size_t i = i0;
+    for (; i + 4 <= i1; i += 4)
+        gemm_row_block<V, 4>(a + i * ars, ars, aks, b, c + i * N, K, N);
+    for (; i < i1; ++i) gemm_row_block<V, 1>(a + i * ars, ars, aks, b, c + i * N, K, N);
+}
+
+/// k-steps per packed b^T panel: a 2-register AVX2 panel is 16 KiB of stack.
+inline constexpr std::size_t kKTile = 256;
+
+/// Packs rows [j, j + NR * kWidth) of b (N x K), k-chunk [k0, k0 + kn), into
+/// the k-major panel buf[k * NR * kWidth + l]. A lane type with
+/// V::transpose moves kWidth x kWidth blocks through registers; the rest
+/// (and every block without it) is copied one float at a time.
+template <class V, std::size_t NR>
+void pack_bt_panel(const float* __restrict b, float* __restrict buf, std::size_t K,
+                   std::size_t j, std::size_t k0, std::size_t kn) {
+    constexpr std::size_t W = V::kWidth;
+    constexpr std::size_t P = NR * W;
+    for (std::size_t l0 = 0; l0 < P; l0 += W) {
+        const float* __restrict bl = b + (j + l0) * K + k0;
+        std::size_t k = 0;
+        if constexpr (requires(typename V::Reg (&rows)[W]) { V::transpose(rows); }) {
+            for (; k + W <= kn; k += W) {
+                typename V::Reg rows[W];
+#pragma GCC unroll 8
+                for (std::size_t q = 0; q < W; ++q) rows[q] = V::load(bl + q * K + k);
+                V::transpose(rows);
+#pragma GCC unroll 8
+                for (std::size_t q = 0; q < W; ++q)
+                    V::store(buf + (k + q) * P + l0, rows[q]);
             }
         }
+        for (; k < kn; ++k)
+            for (std::size_t l = 0; l < W; ++l) buf[k * P + l0 + l] = bl[l * K + k];
     }
+}
+
+/// Rows [i0, i1) of c = a * b^T over columns [j, j + NR * kWidth): per
+/// k-chunk, those rows of b are packed into a panel and the tile streams
+/// over it, resuming from c after the first chunk. K = 0 still writes the
+/// +0 sums.
+template <class V, std::size_t NR>
+void a_bt_panel(const float* __restrict a, const float* __restrict b,
+                float* __restrict c, float* __restrict buf, std::size_t i0,
+                std::size_t i1, std::size_t K, std::size_t N, std::size_t j) {
+    std::size_t k0 = 0;
+    do {
+        const std::size_t kn = std::min(kKTile, K - k0);
+        pack_bt_panel<V, NR>(b, buf, K, j, k0, kn);
+        gemm_panel<V, NR>(a + k0, K, 1, buf, NR * V::kWidth, c + j, N, i0, i1, kn,
+                          k0 != 0);
+        k0 += kn;
+    } while (k0 < K);
+}
+
+}  // namespace detail
+
+/// c[i0..i1) = a[i0..i1) * b: b's rows are the column panels, read in place.
+template <class V>
+void matmul_rows(const float* a, const float* b, float* c, std::size_t i0,
+                 std::size_t i1, std::size_t cols_a, std::size_t cols_b) {
+    detail::gemm_rows<V>(a, cols_a, 1, b, c, i0, i1, cols_a, cols_b);
+}
+
+/// c[i0..i1) = (a^T)[i0..i1) * b: output row i reads column i of a.
+template <class V>
+void matmul_at_b_rows(const float* a, const float* b, float* c, std::size_t i0,
+                      std::size_t i1, std::size_t rows_a, std::size_t cols_a,
+                      std::size_t cols_b) {
+    detail::gemm_rows<V>(a, 1, cols_a, b, c, i0, i1, rows_a, cols_b);
+}
+
+/// c[i0..i1) = a[i0..i1) * b^T: per 2-register (then 1-register) column
+/// block and k-chunk, the block's rows of b are packed k-major into a stack
+/// panel that the same tile streams over; later k-chunks resume from the
+/// partial sums stored in c, which a float store and reload keep exact. The
+/// last N % kWidth columns fall back to the scalar dot-product kernel.
+template <class V>
+void matmul_a_bt_rows(const float* a, const float* b, float* c, std::size_t i0,
+                      std::size_t i1, std::size_t cols_a, std::size_t rows_b) {
+    constexpr std::size_t W = V::kWidth;
+    const std::size_t K = cols_a, N = rows_b;
+    float buf[detail::kKTile * 2 * W];
+    std::size_t j = 0;
+    for (; j + 2 * W <= N; j += 2 * W)
+        detail::a_bt_panel<V, 2>(a, b, c, buf, i0, i1, K, N, j);
+    for (; j + W <= N; j += W) detail::a_bt_panel<V, 1>(a, b, c, buf, i0, i1, K, N, j);
     if (j < N) scalar::matmul_a_bt_cols(a, b, c, i0, i1, K, N, j);
 }
 

@@ -76,6 +76,19 @@ TEST(ParallelKernelsTest, MatmulABtThreadedEqualsSerial) {
     EXPECT_EQ(matmul_a_bt(a, b), serial);
 }
 
+TEST(ParallelKernelsTest, MatmulABtTwoTileWidthsThreadedEqualsSerial) {
+    // N = 24: a 2-register AVX2 column tile, then a 1-register one.
+    Rng rng(4);
+    const Matrix a = random_matrix(601, 310, rng);
+    const Matrix b = random_matrix(24, 310, rng);
+    Matrix serial;
+    {
+        ParallelWidthScope force_serial(1);
+        serial = matmul_a_bt(a, b);
+    }
+    EXPECT_EQ(matmul_a_bt(a, b), serial);
+}
+
 BitMatrix random_bits(std::size_t n, double density, std::uint64_t seed) {
     BitMatrix bits(n, n);
     Rng rng(seed);

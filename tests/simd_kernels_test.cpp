@@ -143,57 +143,59 @@ TEST(SimdKernelsTest, OverlayFixupMatchesScalarOracle) {
     }
 }
 
-TEST(SimdKernelsTest, MatmulKernelsMatchScalarOracle) {
+/// Runs all three GEMM entries of both tables on one m x k x n shape, over
+/// the full row range and a partial one (a chunk-boundary start), and
+/// asserts byte equality after each call.
+void expect_gemms_match_oracle(std::mt19937& gen, std::size_t m, std::size_t k,
+                               std::size_t n) {
     const simd::SimdKernels& active = simd::kernels();
     const simd::SimdKernels& oracle = simd::kernels(SimdIsa::kScalar);
-    std::mt19937 gen(20240809);
-    const std::size_t shapes[] = {1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33};
-    for (const std::size_t m : shapes) {
-        for (const std::size_t k : shapes) {
-            for (const std::size_t n : shapes) {
-                const std::vector<float> a = fuzz_floats(gen, m * k, 2.0f);
-                const std::vector<float> b = fuzz_floats(gen, k * n, 2.0f);
-                std::vector<float> ca(m * n, -1.0f), cb(m * n, -2.0f);
-                // Full row range plus a partial one (chunk-boundary shape).
-                for (const auto& [i0, i1] :
-                     {std::pair<std::size_t, std::size_t>{0, m},
-                      std::pair<std::size_t, std::size_t>{m / 3, m}}) {
-                    active.matmul_rows(a.data(), b.data(), ca.data(), i0, i1, k, n);
-                    oracle.matmul_rows(a.data(), b.data(), cb.data(), i0, i1, k, n);
-                    ASSERT_EQ(0, std::memcmp(ca.data(), cb.data(),
-                                             m * n * sizeof(float)))
-                        << "matmul_rows " << m << "x" << k << "x" << n;
-                }
-
-                // a is (k x m) here: output row i reads column i of a.
-                const std::vector<float> at = fuzz_floats(gen, k * m, 2.0f);
-                active.matmul_at_b_rows(at.data(), b.data(), ca.data(), 0, m, k,
-                                        m, n);
-                oracle.matmul_at_b_rows(at.data(), b.data(), cb.data(), 0, m, k,
-                                        m, n);
-                ASSERT_EQ(0,
-                          std::memcmp(ca.data(), cb.data(), m * n * sizeof(float)))
-                    << "matmul_at_b_rows " << m << "x" << k << "x" << n;
-
-                // b is (n x k) here: c = a * b^T.
-                const std::vector<float> bt = fuzz_floats(gen, n * k, 2.0f);
-                active.matmul_a_bt_rows(a.data(), bt.data(), ca.data(), 0, m, k, n);
-                oracle.matmul_a_bt_rows(a.data(), bt.data(), cb.data(), 0, m, k, n);
-                ASSERT_EQ(0,
-                          std::memcmp(ca.data(), cb.data(), m * n * sizeof(float)))
-                    << "matmul_a_bt_rows " << m << "x" << k << "x" << n;
-            }
-        }
-    }
-    // One K beyond the vector kernels' k-tile (256) so the multi-chunk
-    // accumulation-resume path is covered.
-    const std::size_t m = 5, k = 600, n = 19;
     const std::vector<float> a = fuzz_floats(gen, m * k, 2.0f);
+    const std::vector<float> b = fuzz_floats(gen, k * n, 2.0f);
+    // a is (k x m) for at_b: output row i reads column i of a.
+    const std::vector<float> at = fuzz_floats(gen, k * m, 2.0f);
+    // b is (n x k) for a_bt: c = a * b^T.
     const std::vector<float> bt = fuzz_floats(gen, n * k, 2.0f);
-    std::vector<float> ca(m * n), cb(m * n);
-    active.matmul_a_bt_rows(a.data(), bt.data(), ca.data(), 0, m, k, n);
-    oracle.matmul_a_bt_rows(a.data(), bt.data(), cb.data(), 0, m, k, n);
-    ASSERT_EQ(0, std::memcmp(ca.data(), cb.data(), m * n * sizeof(float)));
+    std::vector<float> ca(m * n, -1.0f), cb(m * n, -2.0f);
+    for (const auto& [i0, i1] : {std::pair<std::size_t, std::size_t>{0, m},
+                                 std::pair<std::size_t, std::size_t>{m / 3, m}}) {
+        const std::string shape = std::to_string(m) + "x" + std::to_string(k) + "x" +
+                                  std::to_string(n) + " rows " + std::to_string(i0) +
+                                  ".." + std::to_string(i1);
+        active.matmul_rows(a.data(), b.data(), ca.data(), i0, i1, k, n);
+        oracle.matmul_rows(a.data(), b.data(), cb.data(), i0, i1, k, n);
+        ASSERT_EQ(0, std::memcmp(ca.data(), cb.data(), m * n * sizeof(float)))
+            << "matmul_rows " << shape;
+
+        active.matmul_at_b_rows(at.data(), b.data(), ca.data(), i0, i1, k, m, n);
+        oracle.matmul_at_b_rows(at.data(), b.data(), cb.data(), i0, i1, k, m, n);
+        ASSERT_EQ(0, std::memcmp(ca.data(), cb.data(), m * n * sizeof(float)))
+            << "matmul_at_b_rows " << shape;
+
+        active.matmul_a_bt_rows(a.data(), bt.data(), ca.data(), i0, i1, k, n);
+        oracle.matmul_a_bt_rows(a.data(), bt.data(), cb.data(), i0, i1, k, n);
+        ASSERT_EQ(0, std::memcmp(ca.data(), cb.data(), m * n * sizeof(float)))
+            << "matmul_a_bt_rows " << shape;
+    }
+}
+
+TEST(SimdKernelsTest, MatmulKernelsMatchScalarOracle) {
+    std::mt19937 gen(20240809);
+    // 24 and 40 make a 2-register AVX2 column tile followed by a 1-register
+    // one; 25 adds a scalar column after them.
+    const std::size_t shapes[] = {1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 24, 25, 33, 40};
+    for (const std::size_t m : shapes)
+        for (const std::size_t k : shapes)
+            for (const std::size_t n : shapes) {
+                expect_gemms_match_oracle(gen, m, k, n);
+                if (HasFatalFailure()) return;
+            }
+    // One K beyond a_bt's k-tile (256), so its packed panels resume from
+    // the partial sums in c, and long chains for the other two entries.
+    expect_gemms_match_oracle(gen, 5, 600, 19);
+    expect_gemms_match_oracle(gen, 7, 600, 40);
+    // K = 0: every entry writes +0 sums.
+    expect_gemms_match_oracle(gen, 5, 0, 40);
 }
 
 TEST(SimdKernelsTest, AggregationKernelsMatchScalarOracle) {
@@ -441,16 +443,30 @@ TEST(SimdDispatchTest, ModeParsingAndDegradeToScalar) {
 TEST(SimdDispatchTest, IsaScopeRestoresPreviousSelection) {
     simd::set_isa_mode("auto");
     const SimdIsa ambient = simd::active_isa();
+    const simd::SimdKernels* scalar = &simd::kernels(SimdIsa::kScalar);
+    const simd::SimdKernels* detected = &simd::kernels(simd::detected_isa());
+    const simd::SimdKernels* ambient_table = &simd::kernels(ambient);
+    EXPECT_EQ(&simd::kernels(), ambient_table);
     {
         simd::SimdIsaScope pin(SimdIsa::kScalar);
         EXPECT_EQ(simd::active_isa(), SimdIsa::kScalar);
+        EXPECT_EQ(&simd::kernels(), scalar);
         {
             simd::SimdIsaScope inner(simd::detected_isa());
             EXPECT_EQ(simd::active_isa(), simd::detected_isa());
+            EXPECT_EQ(&simd::kernels(), detected);
         }
         EXPECT_EQ(simd::active_isa(), SimdIsa::kScalar);
+        EXPECT_EQ(&simd::kernels(), scalar);
     }
     EXPECT_EQ(simd::active_isa(), ambient);
+    EXPECT_EQ(&simd::kernels(), ambient_table);
+
+    // set_isa and set_isa_mode republish the table kernels() returns.
+    simd::set_isa(SimdIsa::kScalar);
+    EXPECT_EQ(&simd::kernels(), scalar);
+    simd::set_isa_mode("auto");
+    EXPECT_EQ(&simd::kernels(), ambient_table);
 }
 
 /// Tiny online-tolerance plan — wear, soft errors, detection rounds, spare
