@@ -72,6 +72,28 @@ void BM_RowPermutationBSuitor(benchmark::State& state) {
 }
 BENCHMARK(BM_RowPermutationBSuitor)->Arg(1)->Arg(3)->Arg(5)->Arg(10)->Arg(20);
 
+/// The worn-crossbar regime of the online schemes' re-matching: fault
+/// density in % (unclustered) on an adjacency-like block whose rows are
+/// all zero with probability 0.4 and 5% dense otherwise.
+void BM_RowPermutationBSuitorWorn(benchmark::State& state) {
+    const double density = static_cast<double>(state.range(0)) / 100.0;
+    Rng rng(5);
+    BinaryBlock block = random_block(128, 0.05, rng);
+    for (std::uint16_t r = 0; r < block.size(); ++r)
+        if (rng.next_bool(0.4))
+            for (auto& word : block.row(r)) word = 0;
+    FaultInjectionConfig cfg;
+    cfg.density = density;
+    cfg.sa1_fraction = 0.5;
+    cfg.cluster_shape = 0.0;
+    cfg.seed = 7;
+    const FaultMap map = inject_faults(1, 128, 128, cfg).front();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(best_row_permutation(block, map));
+    }
+}
+BENCHMARK(BM_RowPermutationBSuitorWorn)->Arg(40);
+
 void BM_RowPermutationExact(benchmark::State& state) {
     const double density = static_cast<double>(state.range(0)) / 100.0;
     Rng rng(4);

@@ -25,7 +25,7 @@ constexpr SimdKernels kScalarKernels = {
     &scalar::aggregate_t_rows,  &scalar::relu,
     &scalar::relu_backward,     &scalar::add,
     &scalar::scale,             &scalar::fill,
-    &scalar::adam_update,
+    &scalar::adam_update,       &scalar::select_sum,
 };
 
 const SimdKernels* table_for(SimdIsa isa) {

@@ -4,8 +4,9 @@
 // compiled-overlay fix-up + clip (reram/compiled_overlay.cpp), the blocked
 // GEMMs (numeric/matrix.cpp), the sparse aggregation (gnn/batch_view.cpp)
 // and the dense elementwise passes of training (Matrix +=/*=/fill,
-// nn/activations.cpp's relu pair, nn/optimizer.cpp's Adam update) — all run
-// through the function-pointer table below.
+// nn/activations.cpp's relu pair, nn/optimizer.cpp's Adam update) and the
+// FARe row matcher's mismatch sums (fare/row_matcher.cpp) — all run through
+// the function-pointer table below.
 // One table exists per instruction set the build knows about (scalar always;
 // AVX2 on x86-64; NEON on AArch64) and the active table is picked at
 // runtime:
@@ -79,6 +80,13 @@ struct AdamStep {
     float lr, beta1, beta2, eps, bc1, bc2;
 };
 
+/// One term of SimdKernels::select_sum: bit i of bits[i / 64] picks which
+/// weight sum i adds.
+struct SelectTerm {
+    const std::uint64_t* bits;
+    double if_one, if_zero;
+};
+
 /// One process-wide kernel table. All pointers are always valid; raw
 /// pointers + lengths so Matrix, FixedMatrix and std::vector callers share
 /// the same entry points. No alignment requirements (loads are unaligned;
@@ -149,6 +157,11 @@ struct SimdKernels {
     /// One Adam step over n parameters (see AdamStep); updates m, v and p.
     void (*adam_update)(float* p, const float* g, float* m, float* v,
                         std::size_t n, const AdamStep& step);
+    /// sum[i] = (((+0 + x_0) + x_1) + ...) + x_{count-1} for i in [0, n),
+    /// where x_t is terms[t].if_one when bit i of terms[t].bits is set and
+    /// terms[t].if_zero otherwise: one double add per term, in term order.
+    void (*select_sum)(const SelectTerm* terms, std::size_t count, double* sum,
+                       std::size_t n);
 };
 
 /// Table for the active ISA: one atomic load of a pointer resolved on the

@@ -154,6 +154,60 @@ void avx2_overlay_fixup_clip(const float* src, float* dst,
                                    or_masks + e, n - e, clip);
 }
 
+/// select_sum over the sums [i0, min(i0 + 4R, n)), kept in R registers
+/// across all terms. i0 is a multiple of 32 and R <= 8, so their bits lie in
+/// one word. Lane j of register q takes bit 4q + j: a variable shift moves
+/// it to the sign bit, which is all blendv reads. Lanes at or past n add
+/// whatever the word holds there and are never stored.
+template <int R>
+void select_block(const SelectTerm* terms, std::size_t count, double* sum,
+                  std::size_t i0, std::size_t n) {
+    __m256i shift[R];
+    __m256d acc[R];
+    for (int q = 0; q < R; ++q) {
+        shift[q] = _mm256_setr_epi64x(63 - 4 * q, 62 - 4 * q, 61 - 4 * q, 60 - 4 * q);
+        acc[q] = _mm256_setzero_pd();
+    }
+    for (std::size_t t = 0; t < count; ++t) {
+        const __m256i bits = _mm256_set1_epi64x(
+            static_cast<long long>(terms[t].bits[i0 / 64] >> (i0 % 64)));
+        const __m256d one = _mm256_set1_pd(terms[t].if_one);
+        const __m256d zero = _mm256_set1_pd(terms[t].if_zero);
+        for (int q = 0; q < R; ++q) {
+            const __m256d pick = _mm256_castsi256_pd(_mm256_sllv_epi64(bits, shift[q]));
+            acc[q] = _mm256_add_pd(acc[q], _mm256_blendv_pd(zero, one, pick));
+        }
+    }
+    for (int q = 0; q < R; ++q) {
+        const std::size_t at = i0 + 4 * static_cast<std::size_t>(q);
+        if (at + 4 <= n) {
+            _mm256_storeu_pd(sum + at, acc[q]);
+        } else {
+            alignas(32) double lanes[4];
+            _mm256_store_pd(lanes, acc[q]);
+            std::copy(lanes, lanes + (n - at), sum + at);
+        }
+    }
+}
+
+/// Blocks of 32 sums, then one block of the registers the rest needs.
+void avx2_select_sum(const SelectTerm* terms, std::size_t count, double* sum,
+                     std::size_t n) {
+    std::size_t i = 0;
+    for (; i + 32 <= n; i += 32) select_block<8>(terms, count, sum, i, n);
+    switch ((n - i + 3) / 4) {
+        case 8: select_block<8>(terms, count, sum, i, n); break;
+        case 7: select_block<7>(terms, count, sum, i, n); break;
+        case 6: select_block<6>(terms, count, sum, i, n); break;
+        case 5: select_block<5>(terms, count, sum, i, n); break;
+        case 4: select_block<4>(terms, count, sum, i, n); break;
+        case 3: select_block<3>(terms, count, sum, i, n); break;
+        case 2: select_block<2>(terms, count, sum, i, n); break;
+        case 1: select_block<1>(terms, count, sum, i, n); break;
+        default: break;
+    }
+}
+
 /// Lane abstraction feeding the shared templated float kernels.
 struct VecAvx2 {
     static constexpr std::size_t kWidth = 8;
@@ -217,6 +271,7 @@ const SimdKernels kAvx2Table = {
     &vec::scale<VecAvx2>,
     &vec::fill<VecAvx2>,
     &vec::adam_update<VecAvx2>,
+    &avx2_select_sum,
 };
 
 }  // namespace

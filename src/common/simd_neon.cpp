@@ -177,6 +177,7 @@ const SimdKernels kNeonTable = {
     &vec::scale<VecNeon>,
     &vec::fill<VecNeon>,
     &vec::adam_update<VecNeon>,
+    &scalar::select_sum,
 };
 
 }  // namespace

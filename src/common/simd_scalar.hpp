@@ -271,4 +271,17 @@ inline void adam_update(float* p, const float* g, float* m, float* v,
     }
 }
 
+/// Terms run in the outer loop so the sums are independent chains; each
+/// still adds its terms in term order.
+inline void select_sum(const SelectTerm* terms, std::size_t count, double* sum,
+                       std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) sum[i] = 0.0;
+    for (std::size_t t = 0; t < count; ++t) {
+        const SelectTerm& term = terms[t];
+        for (std::size_t i = 0; i < n; ++i)
+            sum[i] += ((term.bits[i / 64] >> (i % 64)) & 1u) != 0 ? term.if_one
+                                                                 : term.if_zero;
+    }
+}
+
 }  // namespace fare::simd::scalar

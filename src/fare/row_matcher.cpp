@@ -8,6 +8,7 @@
 #include <span>
 
 #include "common/error.hpp"
+#include "common/simd.hpp"
 #include "fare/hungarian.hpp"
 
 namespace fare {
@@ -34,26 +35,21 @@ public:
 
     /// Words per row both layouts have; the shared columns lie within them.
     std::size_t words() const { return colmask_.size(); }
+    /// Word k of the shared-column mask.
+    Word columns(std::size_t k) const { return colmask_[k]; }
 
     /// cost(r, p): SA0 under a stored 1 and SA1 under a stored 0 mismatch.
     double operator()(std::uint16_t r, std::uint16_t p) const {
         const auto bits = block_.row(r);
-        return sum(p, [&](std::size_t k) { return bits[k]; },
-                   [&](std::size_t k) { return ~bits[k] & colmask_[k]; });
-    }
-
-    /// C_p: the cost of row p with every fault in the block's columns
-    /// mismatching.
-    double all_faults(std::uint16_t p) const {
-        const auto cols = [&](std::size_t k) { return colmask_[k]; };
-        return sum(p, cols, cols);
-    }
-
-    /// The cost of a block row that stores no 1 over any fault of row p:
-    /// exactly its SA1 faults mismatch.
-    double sa1_faults(std::uint16_t p) const {
-        return sum(p, [](std::size_t) { return Word{0}; },
-                   [&](std::size_t k) { return colmask_[k]; });
+        const auto sa0 = map_.sa0_row(p);
+        const auto sa1 = map_.sa1_row(p);
+        double total = 0.0;
+        for (std::size_t k = 0; k < words(); ++k) {
+            const Word ones = sa1[k] & ~bits[k] & colmask_[k];
+            for (Word m = (sa0[k] & bits[k]) | ones; m != 0; m &= m - 1)
+                total += ((ones >> std::countr_zero(m)) & 1u) != 0 ? w_.sa1 : w_.sa0;
+        }
+        return total;
     }
 
     /// Unweighted SA1-inserts-edge mismatches of block row r on row p.
@@ -67,20 +63,6 @@ public:
     }
 
 private:
-    /// Sum over the faults of row p flagged in (sa0 & a(k)) | (sa1 & b(k)).
-    template <typename A, typename B>
-    double sum(std::uint16_t p, A a, B b) const {
-        const auto sa0 = map_.sa0_row(p);
-        const auto sa1 = map_.sa1_row(p);
-        double total = 0.0;
-        for (std::size_t k = 0; k < words(); ++k) {
-            const Word ones = sa1[k] & b(k);
-            for (Word m = (sa0[k] & a(k)) | ones; m != 0; m &= m - 1)
-                total += ((ones >> std::countr_zero(m)) & 1u) != 0 ? w_.sa1 : w_.sa0;
-        }
-        return total;
-    }
-
     const BinaryBlock& block_;
     const FaultMap& map_;
     RowMatchWeights w_;
@@ -101,8 +83,10 @@ struct Cursor {
 /// when none is left. The rest of the current tie group comes first, then
 /// the first index of the heaviest weight below it: the order a stable sort
 /// by weight would give, found lazily because a vertex proposes to few
-/// candidates and the benefits take few distinct values.
-std::int32_t next_candidate(Cursor& c, const double* list, std::int32_t len) {
+/// candidates and the benefits take few distinct values. Always inlined:
+/// it runs once per proposal, and a call costs as much as a short scan.
+[[gnu::always_inline]] inline std::int32_t next_candidate(Cursor& c, const double* list,
+                                                          std::int32_t len) {
     if (c.at >= 0)
         for (std::int32_t i = c.at + 1; i < len; ++i)
             if (list[i] == c.w) return c.at = i;
@@ -130,12 +114,15 @@ std::int32_t next_candidate(Cursor& c, const double* list, std::int32_t len) {
 }
 
 /// Bipartite benefit graph of logical rows [0, n) against faulty physical
-/// rows [0, f): benefit(r, fi) is an edge where positive. Stored in both
-/// layouts, by_row[r * f + fi] and by_col[fi * n + r], so that every vertex
-/// reads its candidates, ascending in partner id, contiguously.
+/// rows [0, f): benefit(r, fi) is an edge where positive. Logical rows come
+/// in groups with equal costs, group[r]; group 0 may have many members, any
+/// other has one. Stored in both layouts, by_group[group[r] * f + fi] and
+/// by_col[fi * n + r], so that every vertex reads its candidates, ascending
+/// in partner id, contiguously.
 struct BenefitGraph {
     std::size_t n = 0, f = 0;
-    std::vector<double> by_row, by_col;
+    std::vector<std::size_t> group;
+    std::vector<double> by_group, by_col;
 };
 
 /// Single-slot suitor matching (b-Suitor with b = 1, Khan et al., SISC 2016)
@@ -160,19 +147,34 @@ std::vector<std::int32_t> suitor_rows(const BenefitGraph& g) {
     std::vector<std::int32_t> stack(static_cast<std::size_t>(total));
     std::iota(stack.begin(), stack.end(), 0);
 
+    // Group 0 shares one list, so its members share one candidate sequence.
+    // It is extended lazily by whichever member first needs its next entry
+    // (-1 ends it), and each member keeps only its position in it.
+    Cursor shared_cursor;
+    std::vector<std::int32_t> shared_order;
+    std::vector<std::size_t> shared_at(g.n, 0);
+
     while (!stack.empty()) {
         const std::int32_t u = stack.back();
         stack.pop_back();
+        const auto uu = static_cast<std::size_t>(u);
         const bool is_logical = u < logical;
-        const double* list = is_logical ? g.by_row.data() + static_cast<std::size_t>(u) * g.f
-                                        : g.by_col.data() +
-                                              static_cast<std::size_t>(u - logical) * g.n;
+        const bool shared = is_logical && g.group[uu] == 0;
+        const double* list = is_logical ? g.by_group.data() + g.group[uu] * g.f
+                                        : g.by_col.data() + (uu - g.n) * g.n;
         const std::int32_t len = is_logical ? faulty : logical;
         const std::int32_t first_partner = is_logical ? logical : 0;
-        Cursor& c = cursor[static_cast<std::size_t>(u)];
+        Cursor& c = shared ? shared_cursor : cursor[uu];
         while (true) {
-            const std::int32_t i = next_candidate(c, list, len);
+            std::int32_t i = 0;
+            if (shared && shared_at[uu] < shared_order.size()) {
+                i = shared_order[shared_at[uu]];
+            } else {
+                i = next_candidate(c, list, len);
+                if (shared) shared_order.push_back(i);
+            }
             if (i < 0) break;
+            if (shared) ++shared_at[uu];
             const auto v = static_cast<std::size_t>(first_partner + i);
             const double w = list[i];
             const std::int32_t held = slot_from[v];
@@ -238,39 +240,95 @@ RowMatchResult best_row_permutation(const BinaryBlock& block, const FaultMap& ma
     const std::uint16_t phys = map.rows();
     FARE_CHECK(phys >= n, "crossbar has fewer rows than the block");
     const RowCosts costs(block, map, weights);
+    const std::size_t words = costs.words();
 
-    // Per-physical-row worst-case cost C_p (all faults mismatch) and the
-    // benefit of each (logical, physical) pairing: benefit = C_p - cost.
-    // Maximising matched benefit minimises total mismatch cost. A logical
-    // row whose bits miss every fault of row p mismatches exactly its SA1
-    // faults, so its cost is row p's SA1-only sum.
-    std::vector<double> base(phys, 0.0);
-    std::vector<std::uint16_t> faulty_rows;
+    // Columns where some row has a fault. A logical row storing no 1 on any
+    // of them costs every row p exactly p's SA1 sum, as an all-zero row
+    // would: all such rows form group 0, a virtual zero row, and every
+    // other row is a group of its own.
+    std::vector<Word> fault_cols(words, 0);
     for (std::uint16_t p = 0; p < phys; ++p) {
-        base[p] = costs.all_faults(p);
-        if (base[p] > 0.0) faulty_rows.push_back(p);
+        const auto sa0 = map.sa0_row(p);
+        const auto sa1 = map.sa1_row(p);
+        for (std::size_t k = 0; k < words; ++k)
+            fault_cols[k] |= (sa0[k] | sa1[k]) & costs.columns(k);
     }
     BenefitGraph graph;
     graph.n = n;
-    graph.f = faulty_rows.size();
-    graph.by_row.resize(graph.n * graph.f);
-    graph.by_col.resize(graph.n * graph.f);
-    std::vector<Word> faults(costs.words());
-    for (std::size_t fi = 0; fi < graph.f; ++fi) {
-        const std::uint16_t p = faulty_rows[fi];
+    graph.group.assign(n, 0);
+    std::vector<std::uint16_t> first_row(1, n);  // one member of each group; n: none
+    for (std::uint16_t r = 0; r < n; ++r) {
+        const auto bits = block.row(r);
+        Word hits = 0;
+        for (std::size_t k = 0; k < words; ++k) hits |= bits[k] & fault_cols[k];
+        if (hits == 0) {
+            first_row[0] = std::min(first_row[0], r);
+            continue;
+        }
+        graph.group[r] = first_row.size();
+        first_row.push_back(r);
+    }
+    const std::size_t groups = first_row.size();
+    // The groups' bits transposed: column c's `stride` words hold bit g for
+    // each group g that stores a 1 at c.
+    const std::size_t stride = (groups + FaultMap::kWordBits - 1) / FaultMap::kWordBits;
+    std::vector<Word> group_bits(words * FaultMap::kWordBits * stride, 0);
+    for (std::size_t g = 1; g < groups; ++g) {
+        const auto bits = block.row(first_row[g]);
+        const Word bit = Word{1} << (g % FaultMap::kWordBits);
+        for (std::size_t k = 0; k < words; ++k)
+            for (Word m = bits[k] & fault_cols[k]; m != 0; m &= m - 1) {
+                const std::size_t c = k * FaultMap::kWordBits +
+                                      static_cast<std::size_t>(std::countr_zero(m));
+                group_bits[c * stride + g / FaultMap::kWordBits] |= bit;
+            }
+    }
+
+    // One pass per physical row p over its faults in ascending column order.
+    // C_p sums every fault's weight: the cost with every fault mismatching.
+    // Each group's cost adds, per fault, its weight when the group's bit
+    // mismatches it and +0 otherwise. Started at +0, a round-to-nearest sum
+    // never reaches -0, so the +0 adds are exact identities and each cost
+    // has the bits of the mismatch-only walk (RowCosts). Rows with C_p > 0
+    // are the faulty ones; benefit = C_p - cost, and maximising matched
+    // benefit minimises total mismatch cost.
+    std::vector<double> base(phys, 0.0);
+    std::vector<std::uint16_t> faulty_rows;
+    graph.by_col.reserve(static_cast<std::size_t>(n) * phys);
+    std::vector<simd::SelectTerm> terms;
+    std::vector<double> group_cost(groups);
+    const simd::SimdKernels& kernels = simd::kernels();
+    for (std::uint16_t p = 0; p < phys; ++p) {
         const auto sa0 = map.sa0_row(p);
         const auto sa1 = map.sa1_row(p);
-        for (std::size_t k = 0; k < faults.size(); ++k) faults[k] = sa0[k] | sa1[k];
-        const double miss_benefit = base[p] - costs.sa1_faults(p);
-        double* col = graph.by_col.data() + fi * graph.n;
-        for (std::uint16_t r = 0; r < n; ++r) {
-            const auto bits = block.row(r);
-            Word hits = 0;
-            for (std::size_t k = 0; k < faults.size(); ++k) hits |= bits[k] & faults[k];
-            col[r] = hits == 0 ? miss_benefit : base[p] - costs(r, p);
-            graph.by_row[static_cast<std::size_t>(r) * graph.f + fi] = col[r];
+        terms.clear();
+        double all = 0.0;
+        for (std::size_t k = 0; k < words; ++k) {
+            const Word zero_bad = sa0[k] & costs.columns(k);
+            const Word one_bad = sa1[k] & costs.columns(k);
+            for (Word m = zero_bad | one_bad; m != 0; m &= m - 1) {
+                const int b = std::countr_zero(m);
+                const bool is_sa1 = ((one_bad >> b) & 1u) != 0;
+                all += is_sa1 ? weights.sa1 : weights.sa0;
+                const std::size_t c = k * FaultMap::kWordBits + static_cast<std::size_t>(b);
+                terms.push_back({group_bits.data() + c * stride,
+                                 ((zero_bad >> b) & 1u) != 0 ? weights.sa0 : 0.0,
+                                 is_sa1 ? weights.sa1 : 0.0});
+            }
         }
+        base[p] = all;
+        if (!(all > 0.0)) continue;
+        faulty_rows.push_back(p);
+        kernels.select_sum(terms.data(), terms.size(), group_cost.data(), groups);
+        for (std::uint16_t r = 0; r < n; ++r)
+            graph.by_col.push_back(all - group_cost[graph.group[r]]);
     }
+    graph.f = faulty_rows.size();
+    graph.by_group.resize(groups * graph.f);
+    for (std::size_t fi = 0; fi < graph.f; ++fi)
+        for (std::size_t g = 0; g < groups; ++g)
+            if (first_row[g] < n)  // group 0 may have no member
+                graph.by_group[g * graph.f + fi] = graph.by_col[fi * graph.n + first_row[g]];
     const std::vector<std::int32_t> match = suitor_rows(graph);
 
     // Assemble the permutation: matched pairs first, then spread the

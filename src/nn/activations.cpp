@@ -25,28 +25,25 @@ Matrix relu_backward(const Matrix& grad, const Matrix& pre) {
     return g;
 }
 
-float leaky_relu_scalar(float x, float slope) {
-    return x > 0.0f ? x : slope * x;
-}
-
-float leaky_relu_grad_scalar(float x, float slope) {
-    return x > 0.0f ? 1.0f : slope;
-}
-
+// One pass each into an uninitialised matrix, with the header's scalar
+// helpers inlined.
 Matrix leaky_relu(const Matrix& x, float slope) {
-    Matrix y = x;
-    for (auto& v : y.flat()) v = leaky_relu_scalar(v, slope);
+    Matrix y = Matrix::uninitialized(x.rows(), x.cols());
+    const auto in = x.flat();
+    const auto out = y.flat();
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = leaky_relu_scalar(in[i], slope);
     return y;
 }
 
 Matrix leaky_relu_backward(const Matrix& grad, const Matrix& pre, float slope) {
     FARE_CHECK(grad.rows() == pre.rows() && grad.cols() == pre.cols(),
                "leaky_relu_backward shape mismatch");
-    Matrix g = grad;
-    auto p = pre.flat();
-    auto out = g.flat();
+    Matrix g = Matrix::uninitialized(grad.rows(), grad.cols());
+    const auto in = grad.flat();
+    const auto p = pre.flat();
+    const auto out = g.flat();
     for (std::size_t i = 0; i < out.size(); ++i)
-        out[i] *= leaky_relu_grad_scalar(p[i], slope);
+        out[i] = in[i] * leaky_relu_grad_scalar(p[i], slope);
     return g;
 }
 

@@ -14,8 +14,12 @@ Matrix relu_backward(const Matrix& grad, const Matrix& pre);
 Matrix leaky_relu(const Matrix& x, float slope = 0.2f);
 Matrix leaky_relu_backward(const Matrix& grad, const Matrix& pre, float slope = 0.2f);
 
-float leaky_relu_scalar(float x, float slope = 0.2f);
-float leaky_relu_grad_scalar(float x, float slope = 0.2f);
+inline float leaky_relu_scalar(float x, float slope = 0.2f) {
+    return x > 0.0f ? x : slope * x;
+}
+inline float leaky_relu_grad_scalar(float x, float slope = 0.2f) {
+    return x > 0.0f ? 1.0f : slope;
+}
 
 /// Row-wise softmax (numerically stabilised).
 Matrix softmax_rows(const Matrix& x);

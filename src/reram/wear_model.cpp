@@ -77,14 +77,23 @@ double WearModel::crossbar_endurance(std::size_t crossbar) const {
                : spec_.endurance_mean_writes;
 }
 
+double WearModel::lifetime_scale(std::size_t crossbar) const {
+    double scale = weibull_scale_;
+    if (is_hot_spot(crossbar)) scale /= spec_.hot_spot_severity;
+    return scale;
+}
+
+double WearModel::lifetime(double scale, std::size_t crossbar, std::uint16_t row,
+                           std::uint16_t col) const {
+    // Inverse Weibull CDF: L = lambda * (-ln(1 - u))^(1/k).
+    const double u = cell_uniform(crossbar, row, col, 0x11FE71ULL);
+    return scale * std::pow(-std::log1p(-u), 1.0 / spec_.weibull_shape);
+}
+
 double WearModel::cell_lifetime(std::size_t crossbar, std::uint16_t row,
                                 std::uint16_t col) const {
     if (!enabled()) return std::numeric_limits<double>::infinity();
-    // Inverse Weibull CDF: L = lambda * (-ln(1 - u))^(1/k).
-    const double u = cell_uniform(crossbar, row, col, 0x11FE71ULL);
-    double scale = weibull_scale_;
-    if (is_hot_spot(crossbar)) scale /= spec_.hot_spot_severity;
-    return scale * std::pow(-std::log1p(-u), 1.0 / spec_.weibull_shape);
+    return lifetime(lifetime_scale(crossbar), crossbar, row, col);
 }
 
 std::vector<WornCell> WearModel::advance(Accelerator& accelerator) {
@@ -107,10 +116,11 @@ std::vector<WornCell> WearModel::advance(Accelerator& accelerator) {
         if (worn.empty()) {
             worn.assign(cells, false);
             lifetimes.resize(cells);
+            const double scale = lifetime_scale(x);
             for (std::uint16_t r = 0; r < rows_; ++r)
                 for (std::uint16_t c = 0; c < cols_; ++c)
                     lifetimes[static_cast<std::size_t>(r) * cols_ + c] =
-                        cell_lifetime(x, r, c);
+                        lifetime(scale, x, r, c);
         }
         double min_alive = std::numeric_limits<double>::infinity();
         const std::size_t first_new = arrivals.size();

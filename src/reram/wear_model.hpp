@@ -98,6 +98,12 @@ private:
     /// Deterministic uniform draw in (0,1) for a cell-level decision.
     double cell_uniform(std::size_t crossbar, std::uint16_t row,
                         std::uint16_t col, std::uint64_t salt) const;
+    /// Weibull scale of a crossbar's lifetimes: weibull_scale_, divided by
+    /// hot_spot_severity inside a hot spot. Resolved once per crossbar.
+    double lifetime_scale(std::size_t crossbar) const;
+    /// A cell's lifetime draw at its crossbar's lifetime_scale.
+    double lifetime(double scale, std::size_t crossbar, std::uint16_t row,
+                    std::uint16_t col) const;
 
     WearSpec spec_;
     double sa1_fraction_ = 0.1;

@@ -8,8 +8,10 @@
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
+#include <utility>
 
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "fare/bsuitor.hpp"
 #include "fare/hungarian.hpp"
 
@@ -360,6 +362,100 @@ TEST(RowMatcherTest, SuitorKernelMatchesGenericOracle) {
         }
     }
     EXPECT_EQ(instances, 3 * 4 * 2 * 4 * 3);
+}
+
+/// A map with faults at `density` on every column except the `clean` ones.
+FaultMap map_with_clean_columns(std::uint16_t n, double density, double sa1_frac,
+                                const std::vector<bool>& clean, Rng& rng) {
+    FaultMap map(n, n);
+    for (std::uint16_t r = 0; r < n; ++r)
+        for (std::uint16_t c = 0; c < n; ++c)
+            if (!clean[c] && rng.next_bool(density))
+                map.add(r, c, rng.next_bool(sa1_frac) ? FaultType::kSA1 : FaultType::kSA0);
+    return map;
+}
+
+/// An adjacency-like n-row block: 45% all-zero rows, 20% rows whose ones
+/// sit only on `clean` columns, and the rest random at 10% density, a third
+/// of them copies of an earlier random row.
+BinaryBlock adjacency_like_block(std::uint16_t n, const std::vector<bool>& clean,
+                                 Rng& rng) {
+    BinaryBlock b(n);
+    std::vector<std::uint16_t> random_rows;
+    for (std::uint16_t r = 0; r < n; ++r) {
+        const std::uint64_t kind = rng.next_below(20);
+        if (kind < 9) continue;  // all zero
+        if (kind < 13) {
+            for (std::uint16_t c = 0; c < n; ++c)
+                if (clean[c] && rng.next_bool(0.3)) b.set(r, c, 1);
+        } else if (kind < 16 && !random_rows.empty()) {
+            const std::uint16_t src = random_rows[rng.next_below(random_rows.size())];
+            for (std::uint16_t c = 0; c < n; ++c) b.set(r, c, b.at(src, c));
+        } else {
+            for (std::uint16_t c = 0; c < n; ++c)
+                if (rng.next_bool(0.1)) b.set(r, c, 1);
+            random_rows.push_back(r);
+        }
+    }
+    return b;
+}
+
+/// got against the generic oracle: the same permutation, cost bits and SA1
+/// count.
+void expect_matches_oracle(const BinaryBlock& block, const FaultMap& map,
+                           const RowMatchWeights& w) {
+    const RowMatchResult got = best_row_permutation(block, map, w);
+    const RowMatchResult want = generic_row_permutation(block, map, w);
+    EXPECT_EQ(got.perm, want.perm);
+    std::uint64_t got_bits = 0, want_bits = 0;
+    std::memcpy(&got_bits, &got.cost, sizeof(got_bits));
+    std::memcpy(&want_bits, &want.cost, sizeof(want_bits));
+    EXPECT_EQ(got_bits, want_bits);
+    EXPECT_EQ(got.sa1_nonoverlap, want.sa1_nonoverlap);
+}
+
+/// The generic-oracle comparison in the two regimes the matcher's shared
+/// slots and shared candidate order are built for, on the scalar and the
+/// detected SIMD table: adjacency-like blocks (many all-zero rows, rows
+/// whose ones miss every fault column, duplicated rows) on maps with
+/// fault-free columns, and worn 128-wide maps at 40% fault density.
+TEST(RowMatcherTest, SuitorKernelMatchesGenericOracleOnAdjacencyAndWornMaps) {
+    const std::vector<RowMatchWeights> weight_sets = {{1.0, 4.0}, {1.0, 1.0}, {0.3, 1.7}};
+    int instances = 0;
+    for (const simd::SimdIsa isa : {simd::SimdIsa::kScalar, simd::detected_isa()}) {
+        const simd::SimdIsaScope scope(isa);
+        for (const std::uint16_t n : {64, 100, 128}) {
+            for (const double sa1 : {0.1, 0.5}) {
+                Rng rng(static_cast<std::uint64_t>(n) * 31 + static_cast<std::uint64_t>(sa1 * 10));
+                std::vector<bool> clean(128, false);
+                for (std::size_t c = 0; c < clean.size(); ++c) clean[c] = rng.next_bool(0.25);
+                const BinaryBlock adjacency = adjacency_like_block(n, clean, rng);
+                std::size_t zero_rows = 0;
+                for (std::uint16_t r = 0; r < n; ++r)
+                    zero_rows += std::ranges::all_of(adjacency.row(r),
+                                                     [](std::uint64_t w) { return w == 0; });
+                ASSERT_GE(zero_rows * 10, std::size_t{n} * 4);
+                std::vector<std::pair<BinaryBlock, FaultMap>> cases;
+                for (const double density : {0.01, 0.10, 0.30})
+                    cases.emplace_back(adjacency,
+                                       map_with_clean_columns(128, density, sa1, clean, rng));
+                const FaultMap worn = random_map(128, 0.40, sa1, rng);
+                cases.emplace_back(adjacency, worn);
+                cases.emplace_back(random_block(n, 0.05, rng), worn);
+                for (const auto& [block, map] : cases) {
+                    for (const RowMatchWeights& w : weight_sets) {
+                        SCOPED_TRACE(::testing::Message()
+                                     << simd::isa_name(isa) << " n " << n << " sa1 " << sa1
+                                     << " faults " << map.num_faults() << " weights "
+                                     << w.sa0 << "/" << w.sa1);
+                        expect_matches_oracle(block, map, w);
+                        ++instances;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(instances, 2 * 3 * 2 * 5 * 3);
 }
 
 /// b-Suitor's half-approximation bound on the benefit graph the matcher

@@ -405,6 +405,69 @@ TEST(SimdKernelsTest, AdamUpdateMatchesScalarOracle) {
     });
 }
 
+/// select_sum, the row matcher's mismatch sums: random bits, up to 40
+/// terms, sum counts from 0 to 140 (every AVX2 16- and 4-sum block and
+/// every ragged tail, across word boundaries), weights salted with ±0,
+/// negatives, ±inf, NaN and subnormals, in both FP modes. When every term
+/// has one +0 side and finite weights, each sum also equals the sum of its
+/// selected nonzero weights alone: the +0 adds change no bit.
+TEST(SimdKernelsTest, SelectSumMatchesScalarOracle) {
+    const simd::SimdKernels& active = simd::kernels(simd::detected_isa());
+    const simd::SimdKernels& oracle = simd::kernels(SimdIsa::kScalar);
+    using limits = std::numeric_limits<double>;
+    const double weights[] = {1.0, 4.0, 0.3, 1.7, -2.5, 0.0, -0.0,
+                              limits::infinity(), -limits::infinity(),
+                              limits::quiet_NaN(), limits::denorm_min(),
+                              -1e-310, 1e308};
+    const auto same = [](const std::vector<double>& a, const std::vector<double>& b) {
+        for (std::size_t i = 0; i < a.size(); ++i)
+            if (std::memcmp(&a[i], &b[i], sizeof(double)) != 0 &&
+                !(std::isnan(a[i]) && std::isnan(b[i])))
+                return false;
+        return a.size() == b.size();
+    };
+    std::mt19937_64 gen(20261022);
+    std::uniform_int_distribution<std::size_t> pick(0, std::size(weights) - 1);
+    in_both_fp_modes([&](const char* mode) {
+        for (std::size_t n = 0; n <= 140; ++n) {
+            for (const std::size_t count : {0, 1, 5, 40}) {
+                for (const bool mismatch_shape : {false, true}) {
+                    const std::size_t words = (n + 63) / 64 + 1;
+                    std::vector<std::uint64_t> bits(count * words);
+                    for (auto& w : bits) w = gen();
+                    std::vector<simd::SelectTerm> terms(count);
+                    for (std::size_t t = 0; t < count; ++t) {
+                        terms[t] = {bits.data() + t * words, weights[pick(gen)],
+                                    weights[pick(gen)]};
+                        if (mismatch_shape) {  // one side +0, the other finite
+                            const double w = weights[pick(gen) % 5];
+                            terms[t].if_one = (gen() & 1u) != 0 ? w : 0.0;
+                            terms[t].if_zero = terms[t].if_one == 0.0 ? w : 0.0;
+                        }
+                    }
+                    std::vector<double> a(n, -1.0), b(n, -2.0);
+                    active.select_sum(terms.data(), count, a.data(), n);
+                    oracle.select_sum(terms.data(), count, b.data(), n);
+                    ASSERT_TRUE(same(a, b)) << "select_sum n=" << n << " terms=" << count
+                                            << " " << mode;
+                    if (!mismatch_shape) continue;
+                    for (std::size_t i = 0; i < n; ++i) {
+                        double walk = 0.0;
+                        for (const simd::SelectTerm& term : terms) {
+                            const double x = ((term.bits[i / 64] >> (i % 64)) & 1u) != 0
+                                                 ? term.if_one
+                                                 : term.if_zero;
+                            if (x != 0.0) walk += x;
+                        }
+                        ASSERT_EQ(0, std::memcmp(&walk, &b[i], sizeof(double)))
+                            << "+0 adds moved sum " << i << " n=" << n << " " << mode;
+                    }
+                }
+            }
+        }
+    });
+}
+
 TEST(SimdDispatchTest, ModeParsingAndDegradeToScalar) {
     // Active default never exceeds what the host can run.
     EXPECT_EQ(simd::set_isa_mode("auto"), simd::active_isa());

@@ -184,6 +184,40 @@ TEST(WearModelTest, HotSpotsWearOutFirst) {
     EXPECT_GT(hot_density, 2.0 * cold_density);
 }
 
+TEST(WearModelTest, AdvanceArrivalsFollowCellLifetimeOnHotSpot) {
+    // advance() draws a crossbar's lifetimes at its scale resolved once; the
+    // cells it reports must be exactly those whose cell_lifetime() the write
+    // count reached, at two successive write levels.
+    Accelerator acc(tiny_chip());
+    const WearModel reference(acc.num_crossbars(), 16, 16, spec_with(1000.0, 1.0),
+                              0.1, 23);
+    WearModel model = reference;
+    ASSERT_TRUE(model.is_hot_spot(0));
+    std::uint64_t before = 0;
+    for (const std::uint64_t writes : {100ull, 160ull}) {
+        acc.crossbar(0).add_uniform_writes(writes - before);
+        const auto arrivals = model.advance(acc);
+        std::size_t next = 0;
+        for (std::uint16_t r = 0; r < 16; ++r)
+            for (std::uint16_t c = 0; c < 16; ++c) {
+                const double life = reference.cell_lifetime(0, r, c);
+                if (!(static_cast<double>(before) < life &&
+                      life <= static_cast<double>(writes)))
+                    continue;
+                ASSERT_LT(next, arrivals.size()) << "cell " << r << "," << c;
+                EXPECT_EQ(arrivals[next].crossbar, 0u);
+                EXPECT_EQ(arrivals[next].fault.row, r);
+                EXPECT_EQ(arrivals[next].fault.col, c);
+                EXPECT_EQ(arrivals[next].at_writes, writes);
+                ++next;
+            }
+        EXPECT_EQ(next, arrivals.size());
+        EXPECT_GT(next, 0u);
+        EXPECT_LT(next, 256u);
+        before = writes;
+    }
+}
+
 TEST(WearModelTest, DisabledModelIsANoOp) {
     Accelerator acc(tiny_chip());
     WearModel model;
