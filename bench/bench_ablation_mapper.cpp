@@ -17,6 +17,7 @@
 #include "common/stopwatch.hpp"
 #include "common/table.hpp"
 #include "fare/mapper.hpp"
+#include "sim/builtin_plans.hpp"
 #include "sim/result_sink.hpp"
 #include "sim/session.hpp"
 
@@ -166,35 +167,13 @@ int main() {
     }
     std::cout << "Fault-clustering sensitivity:\n" << c.to_ascii() << '\n';
 
-    // Accuracy ablation: SA1 weighting on a real training run (1:1, 5%).
-    // Two cells differing only in the chip's row-matching weights, run as one
-    // parallel plan.
+    // Accuracy ablation: SA1 weighting on a real training run (1:1, 5%) —
+    // the built-in "sa1_weighting" plan, two cells differing only in the
+    // chip's row-matching weights.
     std::cout << "Accuracy ablation (Reddit GCN, 5%, 1:1): SA1 weighting...\n";
-    HardwareOverrides unweighted;
-    unweighted.match_weights = {1.0, 1.0};
-    ExperimentPlan plan = SweepBuilder("ablation_sa1_weighting")
-                              .workload(find_workload("Reddit", GnnKind::kGCN))
-                              .density(0.05)
-                              .sa1_fraction(0.5)
-                              .scheme(Scheme::kFARe)
-                              .seed(1)
-                              .build();
-    const ExperimentPlan equal_weights =
-        SweepBuilder("ablation_equal_weights")
-            .workload(find_workload("Reddit", GnnKind::kGCN))
-            .density(0.05)
-            .sa1_fraction(0.5)
-            .scheme(Scheme::kFARe)
-            .hardware(unweighted)
-            .seed(1)
-            .build();
-    plan.cells.insert(plan.cells.end(), equal_weights.cells.begin(),
-                      equal_weights.cells.end());
-
     SimSession session;
-    session.add_sink(std::make_unique<JsonLinesSink>(
-        default_bench_out_path("ablation_mapper")));
-    const ResultSet ablation = session.run(plan);
+    session.add_sink(std::make_unique<JsonLinesSink>());
+    const ResultSet ablation = session.run(bench_plan("sa1_weighting"));
     const SchemeRunResult& a = ablation.cells[0].run;
     const SchemeRunResult& b = ablation.cells[1].run;
     std::cout << "  SA1-weighted cost (x4): acc = " << fmt(a.train.test_accuracy, 3)

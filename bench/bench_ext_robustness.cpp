@@ -12,18 +12,18 @@
 //   E4. Deployment (inference-side) scenario: train on ideal hardware, then
 //       run inference on the faulty chip under each scheme's mapping.
 //
-// Each section is one named plan on a shared SimSession; the JSON sink
-// writes one BENCH_ext_*.json per plan.
+// E1, E3 and E4 render the built-in "redundant_cols", "read_noise" and
+// "deployment" plans (sim/builtin_plans.hpp) on a shared SimSession; the
+// JSON sink writes one BENCH_<plan>.json per plan.
 #include <iostream>
 
 #include "common/table.hpp"
+#include "sim/builtin_plans.hpp"
 #include "sim/result_sink.hpp"
 #include "sim/session.hpp"
 
 int main() {
     using namespace fare;
-    const WorkloadSpec workload = find_workload("Reddit", GnnKind::kGCN);
-
     SessionOptions options;
     options.progress = &std::cout;
     SimSession session(options);
@@ -31,24 +31,16 @@ int main() {
 
     std::cout << "=== E1: redundant-column baseline, Reddit (GCN), 1:1 ===\n\n";
     {
-        const std::vector<double> densities{0.01, 0.03, 0.05};
-        const ExperimentPlan plan =
-            SweepBuilder("ext_redundant_cols")
-                .workload(workload)
-                .densities(densities)
-                .sa1_fraction(0.5)
-                .schemes({Scheme::kFaultFree, Scheme::kFaultUnaware,
-                          Scheme::kRedundantCols, Scheme::kFARe})
-                .seed(1)
-                .build();
-        const ResultSet results = session.run(plan);
+        const ResultSet results = session.run(bench_plan("redundant_cols"));
+        const WorkloadSpec& workload = results.cells.front().spec.workload;
 
         Table t({"Density", "fault-unaware", "Redundant Columns (15% spares)",
                  "FARe"});
-        for (const double density : densities) {
+        for (const CellResult& unaware : results) {
+            if (unaware.spec.scheme != Scheme::kFaultUnaware) continue;
+            const double density = unaware.spec.faults.density;
             t.add_row(
-                {fmt_pct(density, 0),
-                 fmt(results.accuracy(workload, Scheme::kFaultUnaware, density), 3),
+                {fmt_pct(density, 0), fmt(unaware.accuracy(), 3),
                  fmt(results.accuracy(workload, Scheme::kRedundantCols, density), 3),
                  fmt(results.accuracy(workload, Scheme::kFARe, density), 3)});
         }
@@ -80,26 +72,18 @@ int main() {
 
     std::cout << "=== E3: read-noise robustness, Reddit (GCN), 3% SAFs, 1:1 ===\n\n";
     {
-        const std::vector<double> sigmas{0.0, 0.02, 0.05, 0.1};
-        // Sigma is a builder axis (noise-major, then scheme — the same cell
-        // order the hand-built plan used).
-        const ExperimentPlan plan =
-            SweepBuilder("ext_read_noise")
-                .workload(workload)
-                .scenario(FaultScenario::pre_deployment(0.03, 0.5))
-                .noise_sigmas(sigmas)
-                .schemes({Scheme::kFaultUnaware, Scheme::kFARe})
-                .seed(1)
-                .build();
-        const ResultSet results = session.run(plan);
+        // Noise-major, then scheme: each sigma is a (fault-unaware, FARe)
+        // cell pair.
+        const ResultSet results = session.run(bench_plan("read_noise"));
 
         Table t({"Noise sigma", "fault-unaware", "FARe", "FARe drop vs clean"});
         double fare_clean = 0.0;
-        for (std::size_t i = 0; i < sigmas.size(); ++i) {
-            const double fu = results.cells[2 * i].accuracy();
-            const double fare = results.cells[2 * i + 1].accuracy();
-            if (sigmas[i] == 0.0) fare_clean = fare;
-            t.add_row({fmt_pct(sigmas[i], 0), fmt(fu, 3), fmt(fare, 3),
+        for (std::size_t i = 0; i + 1 < results.size(); i += 2) {
+            const double sigma = results.cells[i].spec.faults.read_noise_sigma;
+            const double fu = results.cells[i].accuracy();
+            const double fare = results.cells[i + 1].accuracy();
+            if (sigma == 0.0) fare_clean = fare;
+            t.add_row({fmt_pct(sigma, 0), fmt(fu, 3), fmt(fare, 3),
                        fmt_pct(fare_clean - fare, 1)});
         }
         std::cout << t.to_ascii() << '\n';
@@ -107,18 +91,7 @@ int main() {
 
     std::cout << "=== E4: deploy host-trained model onto the faulty chip ===\n\n";
     {
-        const ExperimentPlan plan =
-            SweepBuilder("ext_deployment")
-                .workload(workload)
-                .density(0.05)
-                .sa1_fraction(0.5)
-                .schemes({Scheme::kFaultUnaware, Scheme::kNeuronReorder,
-                          Scheme::kClippingOnly, Scheme::kRedundantCols,
-                          Scheme::kFARe})
-                .mode(CellMode::kDeploy)
-                .seed(1)
-                .build();
-        const ResultSet results = session.run(plan);
+        const ResultSet results = session.run(bench_plan("deployment"));
 
         Table t({"Scheme", "Trained (ideal)", "Deployed (5% faults, 1:1)", "Loss"});
         for (const CellResult& cell : results) {

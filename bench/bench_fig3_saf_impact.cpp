@@ -2,12 +2,13 @@
 //
 // Paper setting: 5% pre-deployment fault density injected into the crossbars
 // storing the weight matrix and the adjacency matrix *separately*, SAGE on
-// Amazon2M, no mitigation (fault-unaware). Two phase-restricted
-// FaultScenarios concatenated into one plan. Expected shape: SA1-only hurts
-// far more than SA0-only on both matrices.
+// Amazon2M, no mitigation (fault-unaware): the built-in "fig3" plan
+// (sim/builtin_plans.hpp). Expected shape: SA1-only hurts far more than
+// SA0-only on both matrices.
 #include <iostream>
 
 #include "common/table.hpp"
+#include "sim/builtin_plans.hpp"
 #include "sim/result_sink.hpp"
 #include "sim/session.hpp"
 
@@ -15,35 +16,12 @@ int main() {
     using namespace fare;
     std::cout << "=== Fig. 3: SA0 vs SA1 impact, Amazon2M (SAGE), 5% density ===\n\n";
 
-    const WorkloadSpec workload = find_workload("Amazon2M", GnnKind::kSAGE);
-
-    FaultScenario weights_only = FaultScenario::pre_deployment(0.05, 0.0);
-    weights_only.on_weights_only();
-    FaultScenario adjacency_only = FaultScenario::pre_deployment(0.05, 0.0);
-    adjacency_only.on_adjacency_only();
-
-    ExperimentPlan plan = SweepBuilder("fig3_saf_impact")
-                              .workload(workload)
-                              .scenario(weights_only)
-                              .sa1_fractions({0.0, 1.0})
-                              .schemes({Scheme::kFaultFree, Scheme::kFaultUnaware})
-                              .seed(1)
-                              .build();
-    const ExperimentPlan adj_plan = SweepBuilder("fig3_adj")
-                                        .workload(workload)
-                                        .scenario(adjacency_only)
-                                        .sa1_fractions({0.0, 1.0})
-                                        .scheme(Scheme::kFaultUnaware)
-                                        .seed(1)
-                                        .build();
-    // Plans are plain values: concatenate the two phase restrictions.
-    plan.cells.insert(plan.cells.end(), adj_plan.cells.begin(),
-                      adj_plan.cells.end());
-
+    const ExperimentPlan plan = bench_plan("fig3");
     SimSession session;
     session.add_sink(std::make_unique<JsonLinesSink>());
     const ResultSet results = session.run(plan);
-    const double ff = results.accuracy(workload, Scheme::kFaultFree);
+    const double ff =
+        results.accuracy(plan.cells.front().workload, Scheme::kFaultFree);
 
     Table t({"Faulty matrix", "fault-free", "SA0 only", "SA1 only"});
     for (const bool on_weights : {true, false}) {

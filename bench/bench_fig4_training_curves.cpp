@@ -1,5 +1,6 @@
 // Fig. 4 — training-accuracy curves without/with FARe under varying
-// pre-deployment fault densities (Reddit, GCN, SA0:SA1 = 9:1).
+// pre-deployment fault densities (Reddit, GCN, SA0:SA1 = 9:1): the built-in
+// "fig4" plan (sim/builtin_plans.hpp).
 //
 // Paper shape: fault-unaware curves destabilise and diverge from the
 // fault-free curve as density grows; FARe's curves overlap the fault-free
@@ -7,6 +8,7 @@
 #include <iostream>
 
 #include "common/table.hpp"
+#include "sim/builtin_plans.hpp"
 #include "sim/result_sink.hpp"
 #include "sim/session.hpp"
 
@@ -14,17 +16,7 @@ int main() {
     using namespace fare;
     std::cout << "=== Fig. 4: training accuracy vs epoch, Reddit (GCN), 9:1 ===\n\n";
 
-    const std::vector<double> densities{0.01, 0.03, 0.05};
-    const ExperimentPlan plan =
-        SweepBuilder("fig4_training_curves")
-            .workload(find_workload("Reddit", GnnKind::kGCN))
-            .densities(densities)
-            .sa1_fraction(0.1)
-            .schemes({Scheme::kFaultFree, Scheme::kFaultUnaware, Scheme::kFARe})
-            .record_curve(true)
-            .seed(1)
-            .build();
-
+    const ExperimentPlan plan = bench_plan("fig4");
     SessionOptions options;
     options.progress = &std::cout;
     SimSession session(options);
@@ -37,17 +29,16 @@ int main() {
         std::string label;
         const std::vector<EpochStats>* stats;
     };
-    std::vector<Curve> curves;
-    const WorkloadSpec w = find_workload("Reddit", GnnKind::kGCN);
-    curves.push_back(
-        {"fault-free", &results.at(w, Scheme::kFaultFree).run.train.curve});
-    for (const Scheme scheme : {Scheme::kFaultUnaware, Scheme::kFARe}) {
-        for (const double density : densities) {
-            curves.push_back(
-                {std::string(scheme_name(scheme)) + " " + fmt_pct(density, 0),
-                 &results.at(w, scheme, density).run.train.curve});
-        }
-    }
+    std::vector<Curve> curves{
+        {"fault-free",
+         &results.at(plan.cells.front().workload, Scheme::kFaultFree)
+              .run.train.curve}};
+    for (const Scheme scheme : {Scheme::kFaultUnaware, Scheme::kFARe})
+        for (const CellResult& cell : results)
+            if (cell.spec.scheme == scheme)
+                curves.push_back({std::string(scheme_name(scheme)) + " " +
+                                      fmt_pct(cell.spec.faults.density, 0),
+                                  &cell.run.train.curve});
 
     std::vector<std::string> header{"Epoch"};
     for (const auto& c : curves) header.push_back(c.label);

@@ -5,33 +5,25 @@
 //   (a) SA0:SA1 = 9:1  (characterised fault ratio [6])
 //   (b) SA0:SA1 = 1:1  (pessimistic ratio)
 //
-// This is the paper's headline figure. The full grid is one declarative
-// plan executed by SimSession across a worker pool (FARE_THREADS=1 forces a
-// serial run — results are bit-identical either way); the fault-free
-// reference listed in every density row is memoized into a single run per
-// workload. Expected shape per cell group: fault-unaware collapses with
-// density; NR recovers partially (worst of the mitigations, much worse at
-// 1:1); clipping-only sits between (adjacency faults unaddressed); FARe
-// within ~1% (9:1) / ~2% (1:1) of fault-free.
+// This is the paper's headline figure. The full grid is the built-in "fig5"
+// plan (sim/builtin_plans.hpp), executed by SimSession across a worker pool
+// (FARE_THREADS=1 forces a serial run — results are bit-identical either
+// way); the fault-free reference listed in every density row is memoized
+// into a single run per workload. Expected shape per cell group:
+// fault-unaware collapses with density; NR recovers partially (worst of the
+// mitigations, much worse at 1:1); clipping-only sits between (adjacency
+// faults unaddressed); FARe within ~1% (9:1) / ~2% (1:1) of fault-free.
 #include <cstdlib>
 #include <iostream>
 
 #include "common/table.hpp"
+#include "sim/builtin_plans.hpp"
 #include "sim/result_sink.hpp"
 #include "sim/session.hpp"
 
 int main() {
     using namespace fare;
-    const std::vector<double> densities{0.01, 0.03, 0.05};
-    const std::vector<double> sa1_fractions{0.1, 0.5};
-
-    const ExperimentPlan plan = SweepBuilder("fig5_accuracy")
-                                    .workloads(fig5_workloads())
-                                    .densities(densities)
-                                    .sa1_fractions(sa1_fractions)
-                                    .schemes(figure_schemes())
-                                    .seed(1)
-                                    .build();
+    const ExperimentPlan plan = bench_plan("fig5");
 
     SessionOptions options;
     options.progress = &std::cout;

@@ -39,11 +39,6 @@ namespace {
 
 using namespace fare;
 
-std::string out_dir() {
-    if (const char* dir = std::getenv("FARE_BENCH_OUT")) return dir;
-    return "bench/out";
-}
-
 /// First result cell matching scheme (+ detection period for the online
 /// family). Throws InvalidArgument when absent.
 const CellResult& cell_for(const ResultSet& results, Scheme scheme,
@@ -62,7 +57,7 @@ const CellResult& cell_for(const ResultSet& results, Scheme scheme,
 }  // namespace
 
 int main() {
-    const ExperimentPlan plan = online_tolerance_plan();
+    const ExperimentPlan plan = find_builtin_plan("online_tolerance");
 
     SessionOptions options;
     options.progress = &std::cout;
@@ -72,7 +67,7 @@ int main() {
     // Cell lines go to an explicitly named file: the plan-derived default
     // (BENCH_online_tolerance.json) is taken by the GBench-shaped summary.
     session.add_sink(std::make_unique<JsonLinesSink>(
-                         out_dir() + "/BENCH_online_tolerance_cells.json"))
+                         default_bench_out_path("online_tolerance_cells")))
         .streaming();
     session.add_sink(std::make_unique<PivotSink>(&std::cout));
     std::cout << "online_tolerance sweep: " << plan.size() << " cells on "
@@ -156,7 +151,7 @@ int main() {
         }
     }
     js << "]}";
-    const std::string summary_path = out_dir() + "/BENCH_online_tolerance.json";
+    const std::string summary_path = default_bench_out_path("online_tolerance");
     std::ofstream out(summary_path);
     FARE_CHECK(out.good(), "cannot open " + summary_path);
     out << js.str() << '\n';

@@ -26,7 +26,7 @@
 
 int main() {
     using namespace fare;
-    const ExperimentPlan plan = wear_arrival_plan();
+    const ExperimentPlan plan = find_builtin_plan("wear_arrival");
 
     SessionOptions options;
     options.progress = &std::cout;

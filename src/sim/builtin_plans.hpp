@@ -1,10 +1,13 @@
 // Registry of named, self-contained experiment plans shared by the fare-run
-// shard driver and the benches. A built-in plan pins everything that affects
-// cell keys (epoch budgets included), so N shard processes — or a bench and
-// a fare-run invocation — agree on the plan without sharing an environment,
-// and a sharded run merges bit-identical to a single-process run.
+// shard driver and the benches: every paper figure and extension study a
+// bench renders is defined here, once. A built-in plan pins everything that
+// affects cell keys (epoch budgets included), so N shard processes — or a
+// bench and a fare-run invocation — agree on the plan without sharing an
+// environment, and a sharded run merges bit-identical to a single-process
+// run.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -24,17 +27,12 @@ const std::vector<NamedPlan>& builtin_plans();
 /// Build a plan by name. Throws InvalidArgument listing the known names.
 ExperimentPlan find_builtin_plan(const std::string& name);
 
-/// The wear_arrival sweep (also registered as the built-in "wear_arrival"):
-/// live endurance-driven wear with mid-epoch arrival checkpoints, swept over
-/// write-endurance mean x hot-spot fraction for fault-unaware vs FARe.
-/// Every knob is documented in docs/fault_models.md.
-ExperimentPlan wear_arrival_plan();
+/// Pin every cell of `plan` to `epochs` training epochs (fare-run --epochs).
+void override_epochs(ExperimentPlan& plan, std::size_t epochs);
 
-/// The online_tolerance sweep (also registered as the built-in
-/// "online_tolerance"): live wear + soft-error arrivals mid-epoch, swept over
-/// the online detection cadence for {fault-unaware, FARe, online FARe,
-/// online naive} — the bench_online_tolerance frontier. Knobs documented in
-/// docs/fault_models.md ("Online detection & correction").
-ExperimentPlan online_tolerance_plan();
+/// find_builtin_plan(name) as the figure benches run it: a set FARE_EPOCHS
+/// (validated by default_experiment_epochs()) overrides every cell's pinned
+/// budget, so `FARE_EPOCHS=2 ./bench_fig5_accuracy` stays a quick pass.
+ExperimentPlan bench_plan(const std::string& name);
 
 }  // namespace fare

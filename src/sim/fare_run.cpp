@@ -388,8 +388,7 @@ int run(int argc, char** argv) {
     if (plan_name.empty()) return usage(std::cerr, 2);
 
     ExperimentPlan plan = find_builtin_plan(plan_name);
-    if (epochs)
-        for (CellSpec& cell : plan.cells) cell.epochs = epochs;
+    if (epochs) override_epochs(plan, *epochs);
 
     // --listen: same session semantics, but cells execute on the connected
     // fare-worker fleet instead of local threads.

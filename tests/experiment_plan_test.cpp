@@ -3,6 +3,8 @@
 // memoization key, and the pinned cells of every built-in plan.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "common/error.hpp"
 #include "fare/baselines.hpp"
 #include "sim/builtin_plans.hpp"
@@ -510,6 +512,12 @@ TEST(BuiltinPlansTest, CellSpecsArePinned) {
         {"partition_sweep", 12, 0x171a3957e21c6345ull},
         {"transformer_sweep", 12, 0x71a1295fc726b1c3ull},
         {"fig5", 180, 0x02ba823860253051ull},
+        {"fig3", 6, 0xa2ab9fe0eb001ae1ull},
+        {"fig4", 9, 0x158cc5cd307e368dull},
+        {"fig6", 90, 0xeb35805da5d12d97ull},
+        {"redundant_cols", 12, 0xb33a8c98c160741aull},
+        {"deployment", 5, 0x8f4b4178b9f48e1full},
+        {"sa1_weighting", 2, 0xc45171fdb67f55b4ull},
     };
     ASSERT_EQ(builtin_plans().size(), std::size(pins));
     for (const Pin& pin : pins) {
@@ -520,6 +528,32 @@ TEST(BuiltinPlansTest, CellSpecsArePinned) {
             digest = fnv1a(cell_spec_to_json(cell) + '\n', digest);
         EXPECT_EQ(digest, pin.digest) << pin.plan;
     }
+}
+
+TEST(BuiltinPlansTest, BenchPlanHonoursFareEpochs) {
+    // The figure benches' FARE_EPOCHS pass equals `fare-run --epochs` on the
+    // same plan; unset, a bench runs the registered plan untouched.
+    const char* saved = std::getenv("FARE_EPOCHS");
+    const std::string restore = saved ? saved : "";
+    const auto keys = [](const ExperimentPlan& plan) {
+        std::vector<std::string> out;
+        for (const CellSpec& cell : plan.cells) out.push_back(cell.key());
+        return out;
+    };
+    unsetenv("FARE_EPOCHS");
+    EXPECT_EQ(keys(bench_plan("fig4")), keys(find_builtin_plan("fig4")));
+    setenv("FARE_EPOCHS", "2", 1);
+    ExperimentPlan quick = find_builtin_plan("fig4");
+    override_epochs(quick, 2);
+    EXPECT_EQ(keys(bench_plan("fig4")), keys(quick));
+    for (const CellSpec& cell : quick.cells)
+        EXPECT_EQ(cell.train_config().epochs, 2u);
+    setenv("FARE_EPOCHS", "12x", 1);
+    EXPECT_THROW(bench_plan("fig4"), InvalidArgument);
+    if (saved)
+        setenv("FARE_EPOCHS", restore.c_str(), 1);
+    else
+        unsetenv("FARE_EPOCHS");
 }
 
 }  // namespace
